@@ -286,13 +286,35 @@ BENCHMARK(BM_ParseOnly);
 // engines, requires byte-identical results, and requires the vectorized path
 // to be no slower than the row path on the checked shapes (small tolerance
 // for shared-runner noise) with a real improvement on at least one Q-pool
-// shape. Prints one JSON object per query and a final SMOKE OK / SMOKE FAIL.
+// shape. Timings compare the median of paired per-repetition ratios (the
+// two engines alternate within each repetition). Prints one JSON object per
+// query and a final SMOKE OK / SMOKE FAIL.
 
 struct SmokeQuery {
   const char* name;
   const char* sql;
   bool checked;  // participates in the timing gate
 };
+
+/// Median of `v` (odd sizes pick the middle element).
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// Median over repetitions of base[i] / candidate[i]: the speedup of the
+/// candidate. Each pair ran back to back, so the ratio cancels the host's
+/// drift, which a best-of-N per side (or all repetitions of one side before
+/// the other) leaves in the comparison.
+double MedianSpeedup(const std::vector<double>& base_ms,
+                     const std::vector<double>& candidate_ms) {
+  std::vector<double> ratios;
+  for (size_t i = 0; i < base_ms.size(); ++i) {
+    ratios.push_back(base_ms[i] / candidate_ms[i]);
+  }
+  return Median(std::move(ratios));
+}
 
 std::string RenderResult(const sql::QueryResult& result) {
   std::string out;
@@ -308,7 +330,7 @@ std::string RenderResult(const sql::QueryResult& result) {
 
 int RunSmoke() {
   constexpr int64_t kRows = 20000;
-  constexpr int kReps = 5;
+  constexpr int kReps = 15;
   constexpr double kTolerance = 1.10;
   Catalog catalog;
   sql::SqlEngine engine(&catalog);
@@ -330,11 +352,14 @@ int RunSmoke() {
   std::printf("[\n");
   for (size_t qi = 0; qi < sizeof(queries) / sizeof(queries[0]); ++qi) {
     const SmokeQuery& q = queries[qi];
-    double best_ms[2] = {1e300, 1e300};
+    std::vector<double> ms_of[2];
     std::string dump[2];
-    for (int vec = 0; vec < 2; ++vec) {
-      engine.set_vectorized(vec == 1);
-      for (int rep = 0; rep < kReps; ++rep) {
+    // Each repetition runs both engines back to back, alternating which
+    // goes first; repetition 0 is an untimed warm-up of both.
+    for (int rep = 0; rep <= kReps; ++rep) {
+      for (int pos = 0; pos < 2; ++pos) {
+        const int vec = (pos + rep) % 2;
+        engine.set_vectorized(vec == 1);
         auto start = std::chrono::steady_clock::now();
         auto result = engine.Execute(q.sql);
         auto stop = std::chrono::steady_clock::now();
@@ -344,10 +369,13 @@ int RunSmoke() {
                       result.status().ToString().c_str());
           return 1;
         }
-        double ms = std::chrono::duration<double, std::milli>(stop - start)
-                        .count();
-        if (ms < best_ms[vec]) best_ms[vec] = ms;
-        if (rep == 0) dump[vec] = RenderResult(result.value());
+        if (rep == 0) {
+          dump[vec] = RenderResult(result.value());
+        } else {
+          ms_of[vec].push_back(
+              std::chrono::duration<double, std::milli>(stop - start)
+                  .count());
+        }
       }
     }
     if (dump[0] != dump[1]) {
@@ -355,11 +383,12 @@ int RunSmoke() {
                   q.name);
       return 1;
     }
-    const double speedup = best_ms[0] / best_ms[1];
-    const bool pass = !q.checked || best_ms[1] <= best_ms[0] * kTolerance;
+    // Judged on the median of the paired ratios: vectorized/row <= kTolerance.
+    const double speedup = MedianSpeedup(ms_of[0], ms_of[1]);
+    const bool pass = !q.checked || speedup * kTolerance >= 1.0;
     std::printf("  {\"query\": \"%s\", \"row_ms\": %.3f, \"vec_ms\": %.3f, "
                 "\"speedup\": %.2f, \"checked\": %s, \"pass\": %s}%s\n",
-                q.name, best_ms[0], best_ms[1], speedup,
+                q.name, Median(ms_of[0]), Median(ms_of[1]), speedup,
                 q.checked ? "true" : "false", pass ? "true" : "false",
                 qi + 1 < sizeof(queries) / sizeof(queries[0]) ? "," : "");
     if (!pass) ok = false;
@@ -391,6 +420,8 @@ int RunSmoke() {
 //     choice matters; identical rules, never > 5% slower, >= 1.15x on a
 //     `checked` shape.
 //
+// Both parts alternate the two sides within each repetition and judge a
+// shape on the median of the paired ratios, not on the best run per side.
 // Emits one validated JSON report and PLAN SMOKE OK / PLAN SMOKE FAIL.
 
 struct PlanQuery {
@@ -400,7 +431,8 @@ struct PlanQuery {
 };
 
 int RunPlanSmoke() {
-  constexpr int kReps = 5;
+  constexpr int kReps = 21;
+  constexpr int kMineReps = 4;
   constexpr double kSlowdownTolerance = 1.05;
   constexpr double kRequiredSpeedup = 1.15;
 
@@ -489,11 +521,12 @@ int RunPlanSmoke() {
   int improved = 0;
   w.Key("sql").BeginArray();
   for (const PlanQuery& q : queries) {
-    double best_ms[2] = {1e300, 1e300};
+    std::vector<double> ms_of[2];
     std::string dump[2];
     // Interleaved with alternating order, for the same reason as the
     // mining loop below: both modes should see the same allocator state.
-    for (int rep = 0; rep < kReps; ++rep) {
+    // Repetition 0 is an untimed warm-up of both modes.
+    for (int rep = 0; rep <= kReps; ++rep) {
       for (int pos = 0; pos < 2; ++pos) {
         const int cost = (pos + rep) % 2;
         engine.set_cost_based(cost == 1);
@@ -506,10 +539,13 @@ int RunPlanSmoke() {
                        result.status().ToString().c_str());
           return 1;
         }
-        const double ms =
-            std::chrono::duration<double, std::milli>(stop - start).count();
-        if (ms < best_ms[cost]) best_ms[cost] = ms;
-        if (rep == 0) dump[cost] = RenderResult(result.value());
+        if (rep == 0) {
+          dump[cost] = RenderResult(result.value());
+        } else {
+          ms_of[cost].push_back(
+              std::chrono::duration<double, std::milli>(stop - start)
+                  .count());
+        }
       }
     }
     if (dump[0] != dump[1]) {
@@ -519,14 +555,15 @@ int RunPlanSmoke() {
                    q.name);
       return 1;
     }
-    const double speedup = best_ms[0] / best_ms[1];
-    const bool pass = best_ms[1] <= best_ms[0] * kSlowdownTolerance;
+    // Judged on the median of the paired ratios.
+    const double speedup = MedianSpeedup(ms_of[0], ms_of[1]);
+    const bool pass = speedup * kSlowdownTolerance >= 1.0;
     if (!pass) ok = false;
     if (q.checked && speedup >= kRequiredSpeedup) ++improved;
     w.BeginObject();
     w.Key("query").String(q.name);
-    w.Key("syntactic_ms").Double(best_ms[0]);
-    w.Key("cost_based_ms").Double(best_ms[1]);
+    w.Key("syntactic_ms").Double(Median(ms_of[0]));
+    w.Key("cost_based_ms").Double(Median(ms_of[1]));
     w.Key("speedup").Double(speedup);
     w.Key("checked").Bool(q.checked);
     w.Key("pass").Bool(pass);
@@ -586,12 +623,12 @@ int RunPlanSmoke() {
   for (const MineWorkload& load : workloads) {
     const mining::SimpleAlgorithm algs[2] = {
         mining::SimpleAlgorithm::kGidList, mining::SimpleAlgorithm::kAuto};
-    double best_ms[2] = {1e300, 1e300};
+    std::vector<double> ms_of[2];
     size_t rule_count[2] = {0, 0};
     // Reps are interleaved and the run order alternates so allocator state
     // is shared fairly; the parity workloads compare an algorithm against
     // itself and would otherwise show pure measurement drift.
-    for (int rep = 0; rep < 4; ++rep) {
+    for (int rep = 0; rep < kMineReps; ++rep) {
       for (int pos = 0; pos < 2; ++pos) {
         const int a = (pos + rep) % 2;
         auto start = std::chrono::steady_clock::now();
@@ -606,9 +643,8 @@ int RunPlanSmoke() {
           return 1;
         }
         rule_count[a] = rules.value().size();
-        const double ms =
-            std::chrono::duration<double, std::milli>(stop - start).count();
-        if (ms < best_ms[a]) best_ms[a] = ms;
+        ms_of[a].push_back(
+            std::chrono::duration<double, std::milli>(stop - start).count());
       }
     }
     if (rule_count[0] != rule_count[1]) {
@@ -620,20 +656,20 @@ int RunPlanSmoke() {
     const mining::SimpleAlgorithm resolved = mining::ChooseSimpleAlgorithm(
         load.db,
         mining::MinGroupCount(load.support, load.db.total_groups()));
-    const double speedup = best_ms[0] / best_ms[1];
+    const double speedup = MedianSpeedup(ms_of[0], ms_of[1]);
     // When auto resolves to the static default the two runs execute the
     // same member and the timing delta is pure allocator/cache noise (up to
     // ~15% on the rule-heavy shapes); the timing gate only applies when the
     // selection actually diverged.
     const bool pass = resolved == mining::SimpleAlgorithm::kGidList ||
-                      best_ms[1] <= best_ms[0] * kSlowdownTolerance;
+                      speedup * kSlowdownTolerance >= 1.0;
     if (!pass) ok = false;
     if (load.checked && speedup >= kRequiredSpeedup) ++mine_improved;
     w.BeginObject();
     w.Key("workload").String(load.name);
     w.Key("auto_algorithm").String(mining::SimpleAlgorithmName(resolved));
-    w.Key("static_ms").Double(best_ms[0]);
-    w.Key("auto_ms").Double(best_ms[1]);
+    w.Key("static_ms").Double(Median(ms_of[0]));
+    w.Key("auto_ms").Double(Median(ms_of[1]));
     w.Key("speedup").Double(speedup);
     w.Key("rules").Int(static_cast<int64_t>(rule_count[0]));
     w.Key("checked").Bool(load.checked);

@@ -16,4 +16,10 @@ int64_t Stopwatch::ElapsedMicros() const {
       .count();
 }
 
+int64_t Stopwatch::ElapsedNanos() const {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - start_)
+      .count();
+}
+
 }  // namespace minerule

@@ -12,7 +12,9 @@ Status AggAccumulator::Add(const Value& value) {
   }
   if (value.is_null()) return Status::OK();
   if (distinct_) {
-    if (!seen_.insert(value).second) return Status::OK();
+    std::string key;
+    EncodeKeyValue(value, &key);
+    if (!seen_.Insert(key).second) return Status::OK();
   }
   switch (func_) {
     case AggFunc::kCount:
@@ -82,10 +84,11 @@ Status AggAccumulator::Merge(const AggAccumulator& other) {
     return Status::Internal("Merge called on an order-sensitive aggregate");
   }
   if (distinct_ && func_ != AggFunc::kCountStar) {
-    // Union keeps this accumulator's representative for values that compare
-    // equal across ranges (INTEGER 1 vs DOUBLE 1.0) — the earlier range's
-    // element, matching serial first-seen retention.
-    for (const Value& v : other.seen_) seen_.insert(v);
+    // The encoding folds values that compare equal (INTEGER 1 vs DOUBLE
+    // 1.0), so the union counts each equality class once.
+    for (uint32_t id = 0; id < other.seen_.size(); ++id) {
+      seen_.Insert(other.seen_.key(id));
+    }
     count_ = static_cast<int64_t>(seen_.size());
   } else {
     count_ += other.count_;

@@ -1,11 +1,10 @@
 #ifndef MINERULE_SQL_AGGREGATES_H_
 #define MINERULE_SQL_AGGREGATES_H_
 
-#include <unordered_set>
-
 #include "common/result.h"
 #include "relational/value.h"
 #include "sql/ast.h"
+#include "sql/key_table.h"
 
 namespace minerule::sql {
 
@@ -43,7 +42,7 @@ class AggAccumulator {
   bool all_integers_ = true;
   Value min_;
   Value max_;
-  std::unordered_set<Value, ValueHash, ValueEq> seen_;
+  KeyTable seen_;  // DISTINCT: encodings of the values counted so far
 };
 
 }  // namespace minerule::sql

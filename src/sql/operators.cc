@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <tuple>
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
@@ -502,7 +503,7 @@ void HashJoinNode::AppendExtraCounters(
     std::vector<std::pair<std::string, int64_t>>* out) const {
   out->emplace_back("build_rows", build_rows_);
   int64_t buckets = static_cast<int64_t>(hash_table_.size()) + swap_buckets_;
-  for (const JoinTable& partition : partitions_) {
+  for (const KeyBuckets& partition : partitions_) {
     buckets += static_cast<int64_t>(partition.size());
   }
   out->emplace_back("buckets", buckets);
@@ -534,21 +535,57 @@ Result<bool> HashJoinNode::ComputeKey(const std::vector<ExprPtr>& exprs,
   return true;
 }
 
-const std::vector<Row>* HashJoinNode::FindBucket(const Row& key) const {
-  const JoinTable& table =
-      parallel_ ? partitions_[RowHash{}(key) % partitions_.size()]
-                : hash_table_;
-  auto it = table.find(key);
-  return it == table.end() ? nullptr : &it->second;
+Result<bool> HashJoinNode::EncodeKey(const std::vector<ExprPtr>& exprs,
+                                     const Row& row, std::string* key) const {
+  key->clear();
+  for (const ExprPtr& e : exprs) {
+    // Column and slot references are encoded in place, without copying the
+    // value out of the row; out-of-range indexes fall through to EvalExpr,
+    // which reports them.
+    int index = -1;
+    if (e->kind == ExprKind::kColumnRef) {
+      index = static_cast<const ColumnRefExpr&>(*e).bound_index;
+    } else if (e->kind == ExprKind::kSlotRef) {
+      index = static_cast<const SlotRefExpr&>(*e).index;
+    }
+    if (index >= 0 && static_cast<size_t>(index) < row.size()) {
+      const Value& v = row[static_cast<size_t>(index)];
+      if (v.is_null()) return false;  // NULL keys never join
+      EncodeKeyValue(v, key);
+      continue;
+    }
+    MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row, ctx_));
+    if (v.is_null()) return false;
+    EncodeKeyValue(v, key);
+  }
+  return true;
+}
+
+namespace {
+
+/// Partition of a join key in the parallel build: the high hash bits, which
+/// KeyTable's slot placement (the low bits) never reads.
+size_t JoinPartition(uint64_t hash) {
+  return static_cast<size_t>(hash >> 32) % kJoinPartitions;
+}
+
+}  // namespace
+
+std::pair<const uint32_t*, const uint32_t*> HashJoinNode::FindBucket(
+    std::string_view key) const {
+  const uint64_t hash = KeyTable::Hash(key);
+  const KeyBuckets& table =
+      parallel_ ? partitions_[JoinPartition(hash)] : hash_table_;
+  return table.Find(key, hash);
 }
 
 Status HashJoinNode::BuildParallel(int num_threads) {
   // Materialize the build side (morsel-parallel when its subtree allows),
-  // then evaluate all build keys in parallel and scatter the rows into
+  // then encode all build keys in parallel and bucket the rows into
   // fixed-fanout partition tables — one task per partition, each scanning
   // the build rows in index order, so every bucket holds its rows in the
   // serial insertion order.
-  std::vector<Row> build;
+  std::vector<Row>& build = build_side_rows_;
   const int64_t estimate = right_->EstimatedRowCount();
   if (estimate > 0) build.reserve(static_cast<size_t>(estimate));
   MR_RETURN_IF_ERROR(DrainOpenedNode(right_.get(), num_threads, &build));
@@ -556,9 +593,9 @@ Status HashJoinNode::BuildParallel(int num_threads) {
   build_consumed_bytes_ = SampledRowsBytes(build);
 
   const size_t total = build.size();
-  std::vector<Row> keys(total);
+  std::vector<std::string> keys(total);
+  std::vector<uint64_t> hashes(total, 0);
   std::vector<uint8_t> valid(total, 0);
-  std::vector<size_t> partition_of(total, 0);
   {
     const size_t morsels = MorselCount(total, kMorselRows);
     std::vector<Status> statuses(morsels, Status::OK());
@@ -566,46 +603,54 @@ Status HashJoinNode::BuildParallel(int num_threads) {
         total, kMorselRows, num_threads,
         [&](size_t m, size_t begin, size_t end) {
           for (size_t i = begin; i < end; ++i) {
-            Result<bool> ok = ComputeKey(right_keys_, build[i], &keys[i]);
+            Result<bool> ok = EncodeKey(right_keys_, build[i], &keys[i]);
             if (!ok.ok()) {
               statuses[m] = ok.status();
               return;
             }
             if (*ok) {
               valid[i] = 1;
-              partition_of[i] = RowHash{}(keys[i]) % kJoinPartitions;
+              hashes[i] = KeyTable::Hash(keys[i]);
             }
           }
         });
     MR_RETURN_IF_ERROR(FirstError(statuses));
   }
+  // Keep only the rows that can join, in build order.
+  size_t kept = 0;
+  for (size_t i = 0; i < total; ++i) {
+    if (!valid[i]) continue;
+    if (kept != i) {
+      build[kept] = std::move(build[i]);
+      keys[kept] = std::move(keys[i]);
+      hashes[kept] = hashes[i];
+    }
+    ++kept;
+  }
+  build.resize(kept);
+  build_rows_ = static_cast<int64_t>(kept);
 
-  partitions_.assign(kJoinPartitions, JoinTable());
-  const size_t reserve_hint =
-      (estimate > 0 ? static_cast<size_t>(estimate) : total) /
-          kJoinPartitions +
-      1;
+  partitions_.assign(kJoinPartitions, KeyBuckets());
   ParallelFor(kJoinPartitions, num_threads,
               [&](size_t, size_t begin, size_t end) {
                 for (size_t p = begin; p < end; ++p) {
-                  JoinTable& table = partitions_[p];
-                  table.reserve(reserve_hint);
-                  for (size_t i = 0; i < total; ++i) {
-                    if (valid[i] && partition_of[i] == p) {
-                      // Each row belongs to exactly one partition, so the
-                      // move is owned by this task alone.
-                      table[std::move(keys[i])].push_back(
-                          std::move(build[i]));
+                  // Each key belongs to exactly one partition, so this
+                  // task alone writes table p.
+                  KeyBuckets& table = partitions_[p];
+                  for (size_t i = 0; i < kept; ++i) {
+                    if (JoinPartition(hashes[i]) == p) {
+                      table.Add(keys[i], hashes[i], static_cast<uint32_t>(i));
                     }
                   }
+                  table.Seal();
                 }
               });
-  for (size_t i = 0; i < total; ++i) build_rows_ += valid[i] ? 1 : 0;
   return Status::OK();
 }
 
 Status HashJoinNode::OpenImpl() {
-  hash_table_.clear();
+  build_side_rows_.clear();
+  hash_table_ = KeyBuckets();
   partitions_.clear();
   left_rows_.clear();
   left_pos_ = 0;
@@ -644,10 +689,8 @@ Status HashJoinNode::OpenImpl() {
   if (parallel_) {
     MR_RETURN_IF_ERROR(BuildParallel(num_threads));
   } else {
-    const int64_t estimate = right_->EstimatedRowCount();
-    if (estimate > 0) hash_table_.reserve(static_cast<size_t>(estimate));
     Row row;
-    Row key;
+    std::string key;
     int consumed_samples = 0;
     int64_t consumed_width = 0;
     while (true) {
@@ -658,11 +701,13 @@ Status HashJoinNode::OpenImpl() {
         consumed_width += EstimateRowBytes(row);
         ++consumed_samples;
       }
-      MR_ASSIGN_OR_RETURN(bool valid, ComputeKey(right_keys_, row, &key));
+      MR_ASSIGN_OR_RETURN(bool valid, EncodeKey(right_keys_, row, &key));
       if (!valid) continue;
-      hash_table_[key].push_back(std::move(row));
+      hash_table_.Add(key, static_cast<uint32_t>(build_side_rows_.size()));
+      build_side_rows_.push_back(std::move(row));
       ++build_rows_;
     }
+    hash_table_.Seal();
     if (consumed_samples > 0) {
       build_consumed_bytes_ =
           build_consumed_rows_ * (consumed_width / consumed_samples);
@@ -670,33 +715,12 @@ Status HashJoinNode::OpenImpl() {
   }
 
   // Estimated build-side working set: kept rows times the mean width of up
-  // to 64 rows sampled across the table (a single sample misestimates
+  // to 64 rows sampled across them (a single sample misestimates
   // variable-width data). When every consumed row had a NULL key nothing
   // was kept, but the build input was still materialized and hashed —
   // report the consumed-row estimate rather than 0.
-  build_bytes_ = 0;
-  if (build_rows_ > 0) {
-    const int64_t stride = (build_rows_ + 63) / 64;
-    int64_t seen = 0;
-    int64_t sampled = 0;
-    int64_t width_sum = 0;
-    auto sample_table = [&](const JoinTable& table) {
-      for (const auto& [key_row, bucket] : table) {
-        for (const Row& r : bucket) {
-          if (seen % stride == 0) {
-            width_sum += EstimateRowBytes(r);
-            ++sampled;
-          }
-          ++seen;
-        }
-      }
-    };
-    sample_table(hash_table_);
-    for (const JoinTable& partition : partitions_) sample_table(partition);
-    if (sampled > 0) build_bytes_ = build_rows_ * (width_sum / sampled);
-  } else if (build_consumed_rows_ > 0) {
-    build_bytes_ = build_consumed_bytes_;
-  }
+  build_bytes_ = build_rows_ > 0 ? SampledRowsBytes(build_side_rows_)
+                                 : build_consumed_bytes_;
   if (build_bytes_ > 0) {
     GlobalMetrics()
         .GetGauge("sql.join.build_peak_bytes")
@@ -705,10 +729,9 @@ Status HashJoinNode::OpenImpl() {
 
   // An empty build side joins nothing: skip the probe-side scan entirely
   // when that subtree has no observable side effects to preserve.
+  bucket_pos_ = bucket_end_ = nullptr;
   if (build_rows_ == 0 && left_->SideEffectFree()) {
     probe_skipped_ = true;
-    current_bucket_ = nullptr;
-    bucket_pos_ = 0;
     return Status::OK();
   }
 
@@ -717,8 +740,6 @@ Status HashJoinNode::OpenImpl() {
     MR_RETURN_IF_ERROR(
         DrainOpenedNode(left_.get(), num_threads, &left_rows_));
   }
-  current_bucket_ = nullptr;
-  bucket_pos_ = 0;
   return Status::OK();
 }
 
@@ -733,18 +754,18 @@ Status HashJoinNode::OpenSwapped(int num_threads) {
   build_consumed_rows_ = static_cast<int64_t>(swap_build_rows_.size());
   build_consumed_bytes_ = SampledRowsBytes(swap_build_rows_);
 
-  std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq> table;
-  table.reserve(swap_build_rows_.size());
+  KeyBuckets table;
   {
-    Row key;
+    std::string key;
     for (size_t i = 0; i < swap_build_rows_.size(); ++i) {
       MR_ASSIGN_OR_RETURN(bool valid,
-                          ComputeKey(left_keys_, swap_build_rows_[i], &key));
+                          EncodeKey(left_keys_, swap_build_rows_[i], &key));
       if (!valid) continue;
-      table[key].push_back(i);
+      table.Add(key, static_cast<uint32_t>(i));
       ++build_rows_;
     }
   }
+  table.Seal();
   swap_buckets_ = static_cast<int64_t>(table.size());
   build_bytes_ = build_consumed_bytes_;
   if (build_bytes_ > 0) {
@@ -780,14 +801,14 @@ Status HashJoinNode::OpenSwapped(int num_threads) {
   auto probe_range = [&](size_t begin, size_t end,
                          std::vector<std::pair<size_t, size_t>>* out)
       -> Status {
-    Row key;
+    std::string key;  // per call: morsels probe concurrently
     for (size_t i = begin; i < end; ++i) {
       MR_ASSIGN_OR_RETURN(bool valid,
-                          ComputeKey(right_keys_, swap_probe_rows_[i], &key));
+                          EncodeKey(right_keys_, swap_probe_rows_[i], &key));
       if (!valid) continue;
-      auto it = table.find(key);
-      if (it == table.end()) continue;
-      for (size_t l : it->second) {
+      const auto [first, last] = table.Find(key);
+      for (const uint32_t* it = first; it != last; ++it) {
+        const size_t l = *it;
         if (residual_ != nullptr) {
           // Residuals are evaluated while buffering (the pair list must be
           // final before morsel consumers index it); the transient joined
@@ -856,40 +877,34 @@ Result<bool> HashJoinNode::NextImpl(Row* out) {
     return true;
   }
   if (spill_ != nullptr) return NextSpill(out);
-  Row key;
   while (true) {
-    if (current_bucket_ != nullptr) {
-      while (bucket_pos_ < current_bucket_->size()) {
-        Row joined =
-            ConcatRows(current_left_, (*current_bucket_)[bucket_pos_++]);
-        if (residual_ != nullptr) {
-          MR_ASSIGN_OR_RETURN(bool pass,
-                              EvalPredicate(*residual_, joined, ctx_));
-          if (!pass) continue;
-        }
-        *out = std::move(joined);
-        return true;
+    while (bucket_pos_ != bucket_end_) {
+      Row joined =
+          ConcatRows(current_left_, build_side_rows_[*bucket_pos_++]);
+      if (residual_ != nullptr) {
+        MR_ASSIGN_OR_RETURN(bool pass,
+                            EvalPredicate(*residual_, joined, ctx_));
+        if (!pass) continue;
       }
-      current_bucket_ = nullptr;
+      *out = std::move(joined);
+      return true;
     }
     MR_ASSIGN_OR_RETURN(bool more, PullLeft(&current_left_));
     if (!more) return false;
-    MR_ASSIGN_OR_RETURN(bool valid, ComputeKey(left_keys_, current_left_, &key));
+    MR_ASSIGN_OR_RETURN(bool valid,
+                        EncodeKey(left_keys_, current_left_, &probe_key_));
     if (!valid) continue;
-    current_bucket_ = FindBucket(key);
-    bucket_pos_ = 0;
-    if (current_bucket_ == nullptr) continue;
+    std::tie(bucket_pos_, bucket_end_) = FindBucket(probe_key_);
   }
 }
 
-Status HashJoinNode::ProbeRow(const Row& left_row, Row* key,
+Status HashJoinNode::ProbeRow(const Row& left_row, std::string* key,
                               std::vector<Row>* out) {
-  MR_ASSIGN_OR_RETURN(bool valid, ComputeKey(left_keys_, left_row, key));
+  MR_ASSIGN_OR_RETURN(bool valid, EncodeKey(left_keys_, left_row, key));
   if (!valid) return Status::OK();
-  const std::vector<Row>* bucket = FindBucket(*key);
-  if (bucket == nullptr) return Status::OK();
-  for (const Row& right_row : *bucket) {
-    Row joined = ConcatRows(left_row, right_row);
+  const auto [first, last] = FindBucket(*key);
+  for (const uint32_t* it = first; it != last; ++it) {
+    Row joined = ConcatRows(left_row, build_side_rows_[*it]);
     if (residual_ != nullptr) {
       MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, joined, ctx_));
       if (!pass) continue;
@@ -906,7 +921,7 @@ Status HashJoinNode::EvaluateMorselImpl(size_t begin, size_t end,
     for (size_t i = begin; i < end; ++i) out->push_back(SwappedRow(i));
     return Status::OK();
   }
-  Row key;
+  std::string key;  // per morsel: morsels probe concurrently
   for (size_t i = begin; i < end; ++i) {
     MR_RETURN_IF_ERROR(ProbeRow(left_rows_[i], &key, out));
   }
@@ -916,15 +931,6 @@ Status HashJoinNode::EvaluateMorselImpl(size_t begin, size_t end,
 // ---------------------------------------------------------------------------
 // HashAggregateNode
 // ---------------------------------------------------------------------------
-
-/// Group state: key -> accumulators, keys kept in first-seen order for
-/// deterministic output. Used both for the serial pass and as the per-morsel
-/// local table of the parallel pass.
-struct HashAggregateNode::GroupTable {
-  std::unordered_map<Row, size_t, RowHash, RowEq> index;
-  std::vector<Row> keys;
-  std::vector<std::vector<AggAccumulator>> states;
-};
 
 HashAggregateNode::HashAggregateNode(ExecNodePtr child,
                                      std::vector<ExprPtr> group_exprs,
@@ -969,31 +975,39 @@ std::vector<AggAccumulator> HashAggregateNode::MakeAccumulators() const {
   return accs;
 }
 
+std::pair<size_t, bool> HashAggregateNode::AddGroup(GroupTable* groups,
+                                                    const Row& key) const {
+  groups->scratch.clear();
+  EncodeKeyRow(key, &groups->scratch);
+  const auto [id, inserted] = groups->index.Insert(groups->scratch);
+  if (inserted) {
+    groups->keys.push_back(key);
+    groups->states.push_back(MakeAccumulators());
+  }
+  return {id, inserted};
+}
+
 Status HashAggregateNode::AggregateSerial(GroupTable* groups,
                                           MemoryAccountant* accountant) {
   Row row;
+  Row key;
   while (true) {
     MR_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
     if (!more) break;
-    Row key;
-    key.reserve(group_exprs_.size());
+    key.clear();
     for (const ExprPtr& e : group_exprs_) {
       MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row, ctx_));
       key.push_back(std::move(v));
     }
-    auto [it, inserted] = groups->index.try_emplace(key, groups->keys.size());
-    if (inserted) {
-      // Account the table as it grows, not just once it is complete: a
-      // query killed mid-aggregation still shows its spike in the gauge.
-      if (accountant != nullptr) {
-        accountant->AddBytes(
-            EstimateRowBytes(key) +
-            static_cast<int64_t>(aggs_.size() * sizeof(AggAccumulator)));
-      }
-      groups->keys.push_back(std::move(key));
-      groups->states.push_back(MakeAccumulators());
+    const auto [group, inserted] = AddGroup(groups, key);
+    // Account the table as it grows, not just once it is complete: a query
+    // killed mid-aggregation still shows its spike in the gauge.
+    if (inserted && accountant != nullptr) {
+      accountant->AddBytes(
+          EstimateRowBytes(key) +
+          static_cast<int64_t>(aggs_.size() * sizeof(AggAccumulator)));
     }
-    std::vector<AggAccumulator>& accs = groups->states[it->second];
+    std::vector<AggAccumulator>& accs = groups->states[group];
     for (size_t i = 0; i < aggs_.size(); ++i) {
       Value arg;  // NULL placeholder for COUNT(*)
       if (aggs_[i].arg != nullptr) {
@@ -1022,9 +1036,9 @@ Status HashAggregateNode::AggregateParallel(int num_threads,
           statuses[m] = status;
           return;
         }
+        Row key;
         for (const Row& row : input) {
-          Row key;
-          key.reserve(group_exprs_.size());
+          key.clear();
           for (const ExprPtr& e : group_exprs_) {
             Result<Value> v = EvalExpr(*e, row, ctx_);
             if (!v.ok()) {
@@ -1033,12 +1047,8 @@ Status HashAggregateNode::AggregateParallel(int num_threads,
             }
             key.push_back(std::move(*v));
           }
-          auto [it, inserted] = local.index.try_emplace(key, local.keys.size());
-          if (inserted) {
-            local.keys.push_back(std::move(key));
-            local.states.push_back(MakeAccumulators());
-          }
-          std::vector<AggAccumulator>& accs = local.states[it->second];
+          std::vector<AggAccumulator>& accs =
+              local.states[AddGroup(&local, key).first];
           for (size_t i = 0; i < aggs_.size(); ++i) {
             Value arg;  // NULL placeholder for COUNT(*)
             if (aggs_[i].arg != nullptr) {
@@ -1069,13 +1079,13 @@ Status HashAggregateNode::AggregateParallel(int num_threads,
   // first-seen emission order bit for bit.
   for (GroupTable& local : locals) {
     for (size_t j = 0; j < local.keys.size(); ++j) {
-      auto [it, inserted] =
-          groups->index.try_emplace(local.keys[j], groups->keys.size());
+      const auto [id, inserted] =
+          groups->index.Insert(local.index.key(static_cast<uint32_t>(j)));
       if (inserted) {
         groups->keys.push_back(std::move(local.keys[j]));
         groups->states.push_back(std::move(local.states[j]));
       } else {
-        std::vector<AggAccumulator>& accs = groups->states[it->second];
+        std::vector<AggAccumulator>& accs = groups->states[id];
         for (size_t i = 0; i < aggs_.size(); ++i) {
           MR_RETURN_IF_ERROR(accs[i].Merge(local.states[j][i]));
         }
@@ -1138,7 +1148,7 @@ DistinctNode::DistinctNode(ExecNodePtr child, ExecContext* ctx)
     : ExecNode(child->schema()), child_(std::move(child)), ctx_(ctx) {}
 
 Status DistinctNode::OpenImpl() {
-  seen_.clear();
+  seen_ = KeyTable();
   results_.clear();
   pos_ = 0;
   materialized_ = false;
@@ -1154,7 +1164,11 @@ Status DistinctNode::OpenImpl() {
   materialized_ = true;
   const size_t total = child_->MorselInputRows();
   const size_t morsels = MorselCount(total, kMorselRows);
-  std::vector<std::vector<Row>> locals(morsels);
+  struct Local {
+    KeyTable seen;          // encodings of `rows`, id j <-> rows[j]
+    std::vector<Row> rows;  // local survivors, first-seen order
+  };
+  std::vector<Local> locals(morsels);
   std::vector<Status> statuses(morsels, Status::OK());
   ParallelForMorsels(
       total, kMorselRows, num_threads,
@@ -1165,10 +1179,12 @@ Status DistinctNode::OpenImpl() {
           statuses[m] = status;
           return;
         }
-        std::unordered_set<Row, RowHash, RowEq> local_seen;
+        std::string key;  // per morsel: morsels run concurrently
         for (Row& row : input) {
-          if (local_seen.insert(row).second) {
-            locals[m].push_back(std::move(row));
+          key.clear();
+          EncodeKeyRow(row, &key);
+          if (locals[m].seen.Insert(key).second) {
+            locals[m].rows.push_back(std::move(row));
           }
         }
       });
@@ -1177,9 +1193,12 @@ Status DistinctNode::OpenImpl() {
   NoteWorkers(MorselWorkers(total, num_threads));
   NoteDrivenMorsels(static_cast<int64_t>(morsels));
 
-  for (std::vector<Row>& local : locals) {
-    for (Row& row : local) {
-      if (seen_.insert(row).second) results_.push_back(std::move(row));
+  KeyTable seen;
+  for (Local& local : locals) {
+    for (size_t j = 0; j < local.rows.size(); ++j) {
+      if (seen.Insert(local.seen.key(static_cast<uint32_t>(j))).second) {
+        results_.push_back(std::move(local.rows[j]));
+      }
     }
   }
   return Status::OK();
@@ -1194,7 +1213,9 @@ Result<bool> DistinctNode::NextImpl(Row* out) {
   while (true) {
     MR_ASSIGN_OR_RETURN(bool more, child_->Next(out));
     if (!more) return false;
-    if (seen_.insert(*out).second) return true;
+    scratch_.clear();
+    EncodeKeyRow(*out, &scratch_);
+    if (seen_.Insert(scratch_).second) return true;
   }
 }
 

@@ -4,8 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -15,6 +14,7 @@
 #include "sql/aggregates.h"
 #include "sql/ast.h"
 #include "sql/expr_eval.h"
+#include "sql/key_table.h"
 
 namespace minerule::sql {
 
@@ -49,7 +49,9 @@ struct OperatorProfile {
 ///
 /// The public Open/Next are non-virtual wrappers that count produced rows
 /// (always — a branch and an increment) and, when timing is enabled via
-/// EnableTimingTree, accumulate wall time. Timing is *inclusive*: a parent
+/// EnableTimingTree, accumulate wall time in nanoseconds (converted to
+/// microseconds only when read, so sub-microsecond calls still count).
+/// Timing is *inclusive*: a parent
 /// pulls from its children inside NextImpl, so child time is counted in the
 /// parent as well (like EXPLAIN ANALYZE's "actual time" in most engines).
 ///
@@ -73,7 +75,7 @@ class ExecNode {
     if (!timing_) return OpenImpl();
     Stopwatch watch;
     Status status = OpenImpl();
-    micros_.fetch_add(watch.ElapsedMicros(), std::memory_order_relaxed);
+    nanos_.fetch_add(watch.ElapsedNanos(), std::memory_order_relaxed);
     return status;
   }
 
@@ -86,7 +88,7 @@ class ExecNode {
     }
     Stopwatch watch;
     Result<bool> more = NextImpl(out);
-    micros_.fetch_add(watch.ElapsedMicros(), std::memory_order_relaxed);
+    nanos_.fetch_add(watch.ElapsedNanos(), std::memory_order_relaxed);
     if (more.ok() && *more) rows_out_.fetch_add(1, std::memory_order_relaxed);
     return more;
   }
@@ -114,7 +116,7 @@ class ExecNode {
     }
     Stopwatch watch;
     Status status = EvaluateMorselImpl(begin, end, out);
-    micros_.fetch_add(watch.ElapsedMicros(), std::memory_order_relaxed);
+    nanos_.fetch_add(watch.ElapsedNanos(), std::memory_order_relaxed);
     if (status.ok()) CountMorsel(static_cast<int64_t>(out->size() - before));
     return status;
   }
@@ -153,7 +155,9 @@ class ExecNode {
       std::vector<std::pair<std::string, int64_t>>* /*out*/) const {}
 
   int64_t rows_out() const { return rows_out_.load(std::memory_order_relaxed); }
-  int64_t micros() const { return micros_.load(std::memory_order_relaxed); }
+  int64_t micros() const {
+    return nanos_.load(std::memory_order_relaxed) / 1000;
+  }
 
   /// Morsels this node evaluated (via RunMorsel) or drove over its input
   /// (pipeline breakers aggregating child morsels); 0 on the serial path.
@@ -227,7 +231,7 @@ class ExecNode {
   double plan_est_rows_ = -1;
   double plan_est_cost_ = -1;
   std::atomic<int64_t> rows_out_{0};
-  std::atomic<int64_t> micros_{0};
+  std::atomic<int64_t> nanos_{0};
   std::atomic<int64_t> morsels_{0};
   std::atomic<int> workers_{0};
 };
@@ -492,9 +496,13 @@ class NestedLoopJoinNode : public ExecNode {
 /// non-equi part of the join condition) filters matches. SQL semantics:
 /// NULL keys never match.
 ///
+/// Build rows are kept in one vector and bucketed by their encoded key in a
+/// KeyBuckets table (DESIGN.md §17); each bucket lists its rows in build
+/// order.
+///
 /// Parallel mode (ctx->num_threads != 1, expressions NEXTVAL-free): the
 /// build side is materialized and split into kJoinPartitions per-partition
-/// hash tables built concurrently (one task per partition, each scanning
+/// bucket tables built concurrently (one task per partition, each scanning
 /// the build rows in index order so bucket contents match the serial
 /// insertion order); the probe side is materialized and this node becomes a
 /// morsel source — each morsel probes a row range of the probe side, so a
@@ -538,16 +546,23 @@ class HashJoinNode : public ExecNode {
                             std::vector<Row>* out) override;
 
  private:
-  using JoinTable = std::unordered_map<Row, std::vector<Row>, RowHash, RowEq>;
-
   struct Spill;  // grace-hash state, local to operators_spill.cc
 
+  /// Key values of `row` (budgeted path, which accounts and spills them);
+  /// false when a key is NULL.
   Result<bool> ComputeKey(const std::vector<ExprPtr>& exprs, const Row& row,
                           Row* key) const;
-  const std::vector<Row>* FindBucket(const Row& key) const;
+  /// Canonical encoding of the key of `row`, replacing *key; false when a
+  /// key is NULL.
+  Result<bool> EncodeKey(const std::vector<ExprPtr>& exprs, const Row& row,
+                         std::string* key) const;
+  /// The build-row indexes matching encoded `key`, in build order.
+  std::pair<const uint32_t*, const uint32_t*> FindBucket(
+      std::string_view key) const;
   Status BuildParallel(int num_threads);
   Result<bool> PullLeft(Row* out);
-  Status ProbeRow(const Row& left_row, Row* key, std::vector<Row>* out);
+  Status ProbeRow(const Row& left_row, std::string* key,
+                  std::vector<Row>* out);
 
   /// Budgeted serial path (ctx->memory_limit >= 0 and pure expressions):
   /// streams the build side under a MemoryAccountant; within budget it
@@ -586,9 +601,10 @@ class HashJoinNode : public ExecNode {
   std::vector<std::pair<size_t, size_t>> swap_pairs_;  // left-major matches
   size_t swap_pos_ = 0;
   int64_t swap_buckets_ = 0;
-  JoinTable hash_table_;               // serial mode
-  std::vector<JoinTable> partitions_;  // parallel mode, size kJoinPartitions
-  std::vector<Row> left_rows_;         // parallel mode: materialized probe side
+  std::vector<Row> build_side_rows_;    // build rows with non-NULL keys
+  KeyBuckets hash_table_;               // serial mode
+  std::vector<KeyBuckets> partitions_;  // parallel mode, size kJoinPartitions
+  std::vector<Row> left_rows_;          // parallel mode: materialized probe side
   size_t left_pos_ = 0;
   int64_t build_rows_ = 0;
   int64_t build_bytes_ = 0;  // estimated build working set (rows x width)
@@ -601,8 +617,9 @@ class HashJoinNode : public ExecNode {
   int64_t spill_partitions_ = 0;  // leaf partitions joined on the spill path
   std::unique_ptr<Spill> spill_;  // non-null only when the build overflowed
   Row current_left_;
-  const std::vector<Row>* current_bucket_ = nullptr;
-  size_t bucket_pos_ = 0;
+  std::string probe_key_;  // serial probe's encoding buffer
+  const uint32_t* bucket_pos_ = nullptr;  // next match of current_left_
+  const uint32_t* bucket_end_ = nullptr;
 };
 
 /// One aggregate computed by HashAggregateNode.
@@ -645,9 +662,12 @@ class HashAggregateNode : public ExecNode {
   Result<bool> NextImpl(Row* out) override;
 
  private:
-  struct GroupTable;  // local to operators.cc
+  struct GroupTable;  // operators_spill_state.h
 
   std::vector<AggAccumulator> MakeAccumulators() const;
+  /// Group id of `key` in *groups, adding the group (a copy of `key` and
+  /// fresh accumulators) when it is new; the bool is true for a new group.
+  std::pair<size_t, bool> AddGroup(GroupTable* groups, const Row& key) const;
   Status AggregateSerial(GroupTable* groups, MemoryAccountant* accountant);
   Status AggregateParallel(int num_threads, GroupTable* groups);
 
@@ -676,9 +696,10 @@ class HashAggregateNode : public ExecNode {
   size_t pos_ = 0;
 };
 
-/// Hash-based DISTINCT. Serial mode streams (emit on first sight); parallel
-/// mode (ctx->num_threads != 1, morsel-capable child) deduplicates child
-/// morsels locally and folds the survivors in morsel order through a global
+/// Hash-based DISTINCT over encoded rows (a KeyTable, DESIGN.md §17).
+/// Serial mode streams (emit on first sight); parallel mode
+/// (ctx->num_threads != 1, morsel-capable child) deduplicates child morsels
+/// locally and folds the survivors in morsel order through a global
 /// seen-set, reproducing the serial first-seen emission order exactly.
 class DistinctNode : public ExecNode {
  public:
@@ -694,7 +715,8 @@ class DistinctNode : public ExecNode {
  private:
   ExecNodePtr child_;
   ExecContext* ctx_;
-  std::unordered_set<Row, RowHash, RowEq> seen_;
+  KeyTable seen_;        // serial mode: encodings of the rows emitted so far
+  std::string scratch_;  // serial mode's encoding buffer
   bool materialized_ = false;  // parallel mode: results_ holds the output
   std::vector<Row> results_;
   size_t pos_ = 0;

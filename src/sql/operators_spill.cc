@@ -9,11 +9,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/metrics.h"
+#include "sql/key_table.h"
 #include "sql/operators.h"
 #include "sql/operators_spill_state.h"
 #include "sql/spill.h"
@@ -317,8 +317,11 @@ struct GraceJoin {
               uint64_t build_records, const storage::SpillFile* probe_file,
               const std::vector<storage::SpillRun>& probe_runs) {
     ++*spill_partitions;
-    std::unordered_map<Row, std::vector<Row>, RowHash, RowEq> table;
-    table.reserve(static_cast<size_t>(build_records));
+    std::vector<Row> build_rows;
+    build_rows.reserve(static_cast<size_t>(build_records));
+    KeyBuckets table;
+    std::string encoded;
+    Row key;
     {
       PartitionReader reader(build_file, build_runs);
       std::string record;
@@ -326,19 +329,21 @@ struct GraceJoin {
         MR_ASSIGN_OR_RETURN(bool more, reader.Next(&record));
         if (!more) break;
         size_t pos = 0;
-        Row key;
         Row row;
         MR_RETURN_IF_ERROR(
             storage::DecodeRow(record.data(), record.size(), &pos, &key));
         MR_RETURN_IF_ERROR(
             storage::DecodeRow(record.data(), record.size(), &pos, &row));
-        table[std::move(key)].push_back(std::move(row));
+        encoded.clear();
+        EncodeKeyRow(key, &encoded);
+        table.Add(encoded, static_cast<uint32_t>(build_rows.size()));
+        build_rows.push_back(std::move(row));
       }
     }
+    table.Seal();
     PartitionReader reader(probe_file, probe_runs);
     std::string record;
     std::string out_record;
-    Row key;
     Row row;
     uint64_t index = 0;
     while (true) {
@@ -351,10 +356,11 @@ struct GraceJoin {
           storage::DecodeRow(record.data(), record.size(), &pos, &key));
       MR_RETURN_IF_ERROR(
           storage::DecodeRow(record.data(), record.size(), &pos, &row));
-      auto it = table.find(key);
-      if (it == table.end()) continue;
-      for (const Row& build_row : it->second) {
-        Row joined = SpillConcatRows(row, build_row);
+      encoded.clear();
+      EncodeKeyRow(key, &encoded);
+      const auto [first, last] = table.Find(encoded);
+      for (const uint32_t* it = first; it != last; ++it) {
+        Row joined = SpillConcatRows(row, build_rows[*it]);
         if (residual != nullptr) {
           MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual, joined, ctx));
           if (!pass) continue;
@@ -446,22 +452,25 @@ Status HashJoinNode::OpenBudget() {
   // when that subtree has no observable side effects to preserve.
   if (build_rows_ == 0 && left_->SideEffectFree()) {
     probe_skipped_ = true;
-    current_bucket_ = nullptr;
-    bucket_pos_ = 0;
+    bucket_pos_ = bucket_end_ = nullptr;
     return Status::OK();
   }
 
   MR_RETURN_IF_ERROR(left_->Open());
-  current_bucket_ = nullptr;
-  bucket_pos_ = 0;
+  bucket_pos_ = bucket_end_ = nullptr;
   if (build_writer == nullptr) {
     // Within budget: the buffered pairs become the serial hash table —
     // insertion order per bucket is build input order — and the probe
     // streams through the regular serial NextImpl.
-    hash_table_.reserve(buffer.size());
+    build_side_rows_.reserve(buffer.size());
+    std::string encoded;
     for (auto& [buffered_key, buffered_row] : buffer) {
-      hash_table_[std::move(buffered_key)].push_back(std::move(buffered_row));
+      encoded.clear();
+      EncodeKeyRow(buffered_key, &encoded);
+      hash_table_.Add(encoded, static_cast<uint32_t>(build_side_rows_.size()));
+      build_side_rows_.push_back(std::move(buffered_row));
     }
+    hash_table_.Seal();
     return Status::OK();
   }
   MR_RETURN_IF_ERROR(build_writer->Finish());
@@ -656,28 +665,22 @@ Status HashAggregateNode::OpenBudget() {
   std::vector<std::pair<uint64_t, Row>> groups_out;  // (first index, out row)
   if (writer == nullptr) {
     // Within budget: aggregate the buffered tuples in input order — the
-    // same try_emplace/Add sequence as the serial pass, so the emission
-    // order and every accumulator value match it exactly.
-    std::unordered_map<Row, size_t, RowHash, RowEq> index;
-    std::vector<Row> keys;
-    std::vector<std::vector<AggAccumulator>> states;
+    // same AddGroup/Add sequence as the serial pass, so the emission order
+    // and every accumulator value match it exactly.
+    GroupTable groups;
     std::vector<uint64_t> first_index;
-    for (Tuple& tuple : buffer) {
-      auto [it, inserted] = index.try_emplace(tuple.key, keys.size());
-      if (inserted) {
-        keys.push_back(std::move(tuple.key));
-        states.push_back(MakeAccumulators());
-        first_index.push_back(tuple.index);
-      }
-      std::vector<AggAccumulator>& accs = states[it->second];
+    for (const Tuple& tuple : buffer) {
+      const auto [group, inserted] = AddGroup(&groups, tuple.key);
+      if (inserted) first_index.push_back(tuple.index);
+      std::vector<AggAccumulator>& accs = groups.states[group];
       for (size_t i = 0; i < aggs_.size(); ++i) {
         MR_RETURN_IF_ERROR(accs[i].Add(tuple.args[i]));
       }
     }
-    groups_out.reserve(keys.size());
-    for (size_t g = 0; g < keys.size(); ++g) {
-      Row out = std::move(keys[g]);
-      for (const AggAccumulator& acc : states[g]) {
+    groups_out.reserve(groups.keys.size());
+    for (size_t g = 0; g < groups.keys.size(); ++g) {
+      Row out = std::move(groups.keys[g]);
+      for (const AggAccumulator& acc : groups.states[g]) {
         MR_ASSIGN_OR_RETURN(Value v, acc.Finish());
         out.push_back(std::move(v));
       }
@@ -769,39 +772,33 @@ Status HashAggregateNode::AggregatePartition(
   // subsequence — order-sensitive accumulators (SUM/AVG over doubles) see
   // exactly the serial operand order.
   ++spill_partitions_;
-  std::unordered_map<Row, size_t, RowHash, RowEq> index;
-  std::vector<Row> keys;
-  std::vector<std::vector<AggAccumulator>> states;
+  GroupTable groups;
   std::vector<uint64_t> first_index;
   PartitionReader reader(input.file, *input.runs);
   std::string record;
+  Row key;
+  Row args;
   while (true) {
     MR_ASSIGN_OR_RETURN(bool more, reader.Next(&record));
     if (!more) break;
     size_t pos = 0;
     uint64_t tuple_index = 0;
-    Row key;
-    Row args;
     MR_RETURN_IF_ERROR(
         storage::DecodeU64(record.data(), record.size(), &pos, &tuple_index));
     MR_RETURN_IF_ERROR(
         storage::DecodeRow(record.data(), record.size(), &pos, &key));
     MR_RETURN_IF_ERROR(
         storage::DecodeRow(record.data(), record.size(), &pos, &args));
-    auto [it, inserted] = index.try_emplace(key, keys.size());
-    if (inserted) {
-      keys.push_back(std::move(key));
-      states.push_back(MakeAccumulators());
-      first_index.push_back(tuple_index);
-    }
-    std::vector<AggAccumulator>& accs = states[it->second];
+    const auto [group, inserted] = AddGroup(&groups, key);
+    if (inserted) first_index.push_back(tuple_index);
+    std::vector<AggAccumulator>& accs = groups.states[group];
     for (size_t i = 0; i < aggs_.size(); ++i) {
       MR_RETURN_IF_ERROR(accs[i].Add(args[i]));
     }
   }
-  for (size_t g = 0; g < keys.size(); ++g) {
-    Row out_row = std::move(keys[g]);
-    for (const AggAccumulator& acc : states[g]) {
+  for (size_t g = 0; g < groups.keys.size(); ++g) {
+    Row out_row = std::move(groups.keys[g]);
+    for (const AggAccumulator& acc : groups.states[g]) {
       MR_ASSIGN_OR_RETURN(Value v, acc.Finish());
       out_row.push_back(std::move(v));
     }

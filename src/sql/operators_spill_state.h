@@ -2,9 +2,11 @@
 #define MINERULE_SQL_OPERATORS_SPILL_STATE_H_
 
 // Definitions of the spill-state structs owned by the buffering operators
-// (DESIGN.md §13). operators.cc needs the complete types to construct and
-// reset the owning unique_ptrs; operators_spill.cc implements the budgeted
-// paths that fill them. Internal to the sql library — not part of its API.
+// (DESIGN.md §13), and of the aggregate's group table, which the in-memory
+// and the budgeted paths share. operators.cc needs the complete types to
+// construct and reset the owning unique_ptrs; operators_spill.cc implements
+// the budgeted paths that fill them. Internal to the sql library — not part
+// of its API.
 
 #include <cstdint>
 #include <memory>
@@ -48,6 +50,17 @@ struct SortNode::External {
     source->done = false;
     return Status::OK();
   }
+};
+
+/// Group state of HashAggregateNode: encoded key -> dense group id, with the
+/// first-seen key values and the accumulators indexed by that id, so groups
+/// come out in first-seen order. Serves the serial pass, the per-morsel
+/// local tables of the parallel pass and the budgeted path's partitions.
+struct HashAggregateNode::GroupTable {
+  KeyTable index;
+  std::vector<Row> keys;
+  std::vector<std::vector<AggAccumulator>> states;
+  std::string scratch;  // encoding buffer of AddGroup
 };
 
 /// Grace-hash-join state: the partitioned build/probe scatter files, the

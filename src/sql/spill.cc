@@ -3,9 +3,10 @@
 namespace minerule::sql {
 
 uint64_t SpillHash(const Row& key, int depth) {
-  // splitmix64 finalizer over the row hash, seeded by the depth. The extra
-  // mixing round decorrelates the partition assignment from the bucket
-  // placement RowHash drives inside the leaf hash tables.
+  // splitmix64 finalizer over the row hash, seeded by the depth. RowHash
+  // hashes the values, not their KeyTable encoding, so the partition
+  // assignment is independent of the slot placement inside the leaf
+  // tables; the mixing round spreads RowHash's weak low bits.
   uint64_t h = static_cast<uint64_t>(RowHash{}(key)) +
                0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(depth + 1);
   h ^= h >> 30;

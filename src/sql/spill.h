@@ -31,8 +31,9 @@ inline constexpr size_t kMergeFanIn = 64;
 /// Partition hash for spilled keys at a given recursion depth. Seeded by
 /// the depth so each re-partitioning level splits on fresh bits — a
 /// partition whose keys all collided at depth d still spreads at d+1 —
-/// and decorrelated from RowHash so the in-memory hash table of a leaf
-/// partition does not see single-bucket pileups.
+/// and computed from the key values (RowHash, re-mixed), never from the
+/// key encoding, so it stays decorrelated from KeyTable::Hash and the
+/// in-memory table of a leaf partition does not see slot pileups.
 uint64_t SpillHash(const Row& key, int depth);
 
 /// Tracks an operator's estimated working-set bytes against the query

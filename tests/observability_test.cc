@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -126,6 +127,27 @@ TEST_F(ObservabilityTest, ExplainAnalyzeReportsRowsAndTime) {
   EXPECT_NE(plan.find("Filter ((a >= 2)) rows=2"), std::string::npos) << plan;
   EXPECT_NE(plan.find("TableScan (t) rows=3"), std::string::npos) << plan;
   EXPECT_NE(plan.find("time="), std::string::npos) << plan;
+}
+
+// Operator time accumulates in nanoseconds: a serial scan's Next() calls
+// each take well under a microsecond, and truncating every call to whole
+// microseconds reported a 100k-row scan at 0.03-0.16 ms. Each timed call
+// costs at least a clock read (tens of ns), so the true total is well over
+// 10 ns per row.
+TEST_F(ObservabilityTest, ExplainAnalyzeCountsSubMicrosecondCalls) {
+  auto table = catalog_.CreateTable(
+      "big", Schema({{"a", DataType::kInteger}}));
+  ASSERT_TRUE(table.ok());
+  for (int64_t i = 0; i < 100000; ++i) {
+    table.value()->AppendUnchecked({Value::Integer(i)});
+  }
+  system_.sql_engine()->set_num_threads(1);
+  const std::string plan = Plan("EXPLAIN ANALYZE SELECT a FROM big");
+  const std::string marker = "TableScan (big) rows=100000 time=";
+  const size_t at = plan.find(marker);
+  ASSERT_NE(at, std::string::npos) << plan;
+  const double scan_ms = std::strtod(plan.c_str() + at + marker.size(), nullptr);
+  EXPECT_GE(scan_ms, 1.0) << plan;  // 100000 rows x 10 ns
 }
 
 TEST_F(ObservabilityTest, ExplainAnalyzeHashJoinCounters) {
