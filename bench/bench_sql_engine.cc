@@ -2,13 +2,9 @@
 // the building blocks every generated Q0..Q11 program decomposes into.
 // The architecture assumes these are "effectively and efficiently evaluated
 // by the SQL server itself" (§3); this binary quantifies that for our
-// server, on both the volcano row path and the columnar vectorized path
-// (DESIGN.md §12): benchmark arg 1 is the vectorized knob (0 = row, 1 =
-// vectorized).
+// server's row-at-a-time engine.
 //
 //   bench_sql_engine                # full Google-benchmark sweep
-//   bench_sql_engine --smoke        # CI gate: row vs vectorized differential
-//                                   # + timing check, JSON report, "SMOKE OK"
 //   bench_sql_engine --plan-smoke   # CI gate: cost-based planning (DESIGN.md
 //                                   # §14) vs the syntactic planner on skewed
 //                                   # retail data + adaptive core-algorithm
@@ -69,7 +65,6 @@ class EngineFixture : public benchmark::Fixture {
   void SetUp(const benchmark::State& state) override {
     catalog_ = std::make_unique<Catalog>();
     engine_ = std::make_unique<sql::SqlEngine>(catalog_.get());
-    engine_->set_vectorized(state.range(1) == 1);
     FillTables(catalog_.get(), state.range(0));
   }
   void TearDown(const benchmark::State&) override {
@@ -96,24 +91,21 @@ class EngineFixture : public benchmark::Fixture {
   std::unique_ptr<sql::SqlEngine> engine_;
 };
 
-// {rows} x {row path, vectorized path}.
-const std::vector<std::vector<int64_t>> kRowsByEngine = {{10000, 100000},
-                                                         {0, 1}};
-// Shapes with no vectorized specialization: row path only.
-const std::vector<std::vector<int64_t>> kRowsRowOnly = {{10000, 100000}, {0}};
+// Row counts of the facts table.
+const std::vector<std::vector<int64_t>> kRows = {{10000, 100000}};
 
 BENCHMARK_DEFINE_F(EngineFixture, Scan)(benchmark::State& state) {
   Run(state, "SELECT id, val FROM facts");
 }
 BENCHMARK_REGISTER_F(EngineFixture, Scan)
-    ->ArgsProduct(kRowsByEngine)
+    ->ArgsProduct(kRows)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_DEFINE_F(EngineFixture, Filter)(benchmark::State& state) {
   Run(state, "SELECT id FROM facts WHERE val > 90.0");
 }
 BENCHMARK_REGISTER_F(EngineFixture, Filter)
-    ->ArgsProduct(kRowsByEngine)
+    ->ArgsProduct(kRows)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_DEFINE_F(EngineFixture, HashJoin)(benchmark::State& state) {
@@ -121,7 +113,7 @@ BENCHMARK_DEFINE_F(EngineFixture, HashJoin)(benchmark::State& state) {
       "SELECT f.id, d.name FROM facts f, dims d WHERE f.grp = d.grp");
 }
 BENCHMARK_REGISTER_F(EngineFixture, HashJoin)
-    ->ArgsProduct(kRowsByEngine)
+    ->ArgsProduct(kRows)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_DEFINE_F(EngineFixture, GroupByAggregate)(benchmark::State& state) {
@@ -130,7 +122,7 @@ BENCHMARK_DEFINE_F(EngineFixture, GroupByAggregate)(benchmark::State& state) {
       "HAVING COUNT(*) > 5");
 }
 BENCHMARK_REGISTER_F(EngineFixture, GroupByAggregate)
-    ->ArgsProduct(kRowsByEngine)
+    ->ArgsProduct(kRows)
     ->Unit(benchmark::kMillisecond);
 
 // The Q-pool shape: int-keyed join feeding an int-keyed aggregation, the
@@ -141,28 +133,28 @@ BENCHMARK_DEFINE_F(EngineFixture, JoinThenGroupBy)(benchmark::State& state) {
       "WHERE f.grp = d.grp GROUP BY d.grp");
 }
 BENCHMARK_REGISTER_F(EngineFixture, JoinThenGroupBy)
-    ->ArgsProduct(kRowsByEngine)
+    ->ArgsProduct(kRows)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_DEFINE_F(EngineFixture, CountDistinct)(benchmark::State& state) {
   Run(state, "SELECT COUNT(DISTINCT grp) FROM facts");
 }
 BENCHMARK_REGISTER_F(EngineFixture, CountDistinct)
-    ->ArgsProduct(kRowsRowOnly)
+    ->ArgsProduct(kRows)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_DEFINE_F(EngineFixture, Distinct)(benchmark::State& state) {
   Run(state, "SELECT DISTINCT tag FROM facts");
 }
 BENCHMARK_REGISTER_F(EngineFixture, Distinct)
-    ->ArgsProduct(kRowsRowOnly)
+    ->ArgsProduct(kRows)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_DEFINE_F(EngineFixture, Sort)(benchmark::State& state) {
   Run(state, "SELECT id FROM facts ORDER BY val DESC LIMIT 100");
 }
 BENCHMARK_REGISTER_F(EngineFixture, Sort)
-    ->ArgsProduct(kRowsRowOnly)
+    ->ArgsProduct(kRows)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_DEFINE_F(EngineFixture, InsertSelect)(benchmark::State& state) {
@@ -181,7 +173,7 @@ BENCHMARK_DEFINE_F(EngineFixture, InsertSelect)(benchmark::State& state) {
   state.counters["inserted"] = static_cast<double>(inserted);
 }
 BENCHMARK_REGISTER_F(EngineFixture, InsertSelect)
-    ->ArgsProduct(kRowsRowOnly)
+    ->ArgsProduct(kRows)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
@@ -282,19 +274,7 @@ void BM_ParseOnly(benchmark::State& state) {
 BENCHMARK(BM_ParseOnly);
 
 // ---------------------------------------------------------------------------
-// --smoke: the CI gate (DESIGN.md §12). Runs the int-keyed hot paths on both
-// engines, requires byte-identical results, and requires the vectorized path
-// to be no slower than the row path on the checked shapes (small tolerance
-// for shared-runner noise) with a real improvement on at least one Q-pool
-// shape. Timings compare the median of paired per-repetition ratios (the
-// two engines alternate within each repetition). Prints one JSON object per
-// query and a final SMOKE OK / SMOKE FAIL.
-
-struct SmokeQuery {
-  const char* name;
-  const char* sql;
-  bool checked;  // participates in the timing gate
-};
+// Timing and result helpers for the --plan-smoke gate below.
 
 /// Median of `v` (odd sizes pick the middle element).
 double Median(std::vector<double> v) {
@@ -326,85 +306,6 @@ std::string RenderResult(const sql::QueryResult& result) {
     out += '\n';
   }
   return out;
-}
-
-int RunSmoke() {
-  constexpr int64_t kRows = 20000;
-  constexpr int kReps = 15;
-  constexpr double kTolerance = 1.10;
-  Catalog catalog;
-  sql::SqlEngine engine(&catalog);
-  FillTables(&catalog, kRows);
-
-  const SmokeQuery queries[] = {
-      {"filter_double", "SELECT id FROM facts WHERE val > 90.0", false},
-      {"filter_int", "SELECT id FROM facts WHERE grp >= 1000", false},
-      {"hash_join_int", "SELECT f.id, d.name FROM facts f, dims d "
-                        "WHERE f.grp = d.grp", true},
-      {"group_by_int", "SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(val) "
-                       "FROM facts GROUP BY grp", true},
-      {"join_then_group", "SELECT d.grp, COUNT(*), SUM(f.val) FROM facts f, "
-                          "dims d WHERE f.grp = d.grp GROUP BY d.grp", true},
-  };
-
-  bool ok = true;
-  int improved = 0;
-  std::printf("[\n");
-  for (size_t qi = 0; qi < sizeof(queries) / sizeof(queries[0]); ++qi) {
-    const SmokeQuery& q = queries[qi];
-    std::vector<double> ms_of[2];
-    std::string dump[2];
-    // Each repetition runs both engines back to back, alternating which
-    // goes first; repetition 0 is an untimed warm-up of both.
-    for (int rep = 0; rep <= kReps; ++rep) {
-      for (int pos = 0; pos < 2; ++pos) {
-        const int vec = (pos + rep) % 2;
-        engine.set_vectorized(vec == 1);
-        auto start = std::chrono::steady_clock::now();
-        auto result = engine.Execute(q.sql);
-        auto stop = std::chrono::steady_clock::now();
-        if (!result.ok()) {
-          std::printf("]\nSMOKE FAIL %s (%s): %s\n", q.name,
-                      vec ? "vectorized" : "row",
-                      result.status().ToString().c_str());
-          return 1;
-        }
-        if (rep == 0) {
-          dump[vec] = RenderResult(result.value());
-        } else {
-          ms_of[vec].push_back(
-              std::chrono::duration<double, std::milli>(stop - start)
-                  .count());
-        }
-      }
-    }
-    if (dump[0] != dump[1]) {
-      std::printf("]\nSMOKE FAIL %s: vectorized result differs from row\n",
-                  q.name);
-      return 1;
-    }
-    // Judged on the median of the paired ratios: vectorized/row <= kTolerance.
-    const double speedup = MedianSpeedup(ms_of[0], ms_of[1]);
-    const bool pass = !q.checked || speedup * kTolerance >= 1.0;
-    std::printf("  {\"query\": \"%s\", \"row_ms\": %.3f, \"vec_ms\": %.3f, "
-                "\"speedup\": %.2f, \"checked\": %s, \"pass\": %s}%s\n",
-                q.name, Median(ms_of[0]), Median(ms_of[1]), speedup,
-                q.checked ? "true" : "false", pass ? "true" : "false",
-                qi + 1 < sizeof(queries) / sizeof(queries[0]) ? "," : "");
-    if (!pass) ok = false;
-    if (q.checked && speedup > 1.0) ++improved;
-  }
-  std::printf("]\n");
-  if (ok && improved == 0) {
-    std::printf("SMOKE FAIL: no checked query improved over the row path\n");
-    return 1;
-  }
-  if (!ok) {
-    std::printf("SMOKE FAIL: vectorized slower than row path\n");
-    return 1;
-  }
-  std::printf("SMOKE OK\n");
-  return 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -708,7 +609,6 @@ int RunPlanSmoke() {
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return RunSmoke();
     if (std::strcmp(argv[i], "--plan-smoke") == 0) return RunPlanSmoke();
   }
   benchmark::Initialize(&argc, argv);

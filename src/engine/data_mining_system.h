@@ -35,16 +35,13 @@ struct MiningOptions {
   /// mined rules are bit-identical at every setting.
   int num_threads = 0;
 
-  /// Columnar-batch execution for the generated SQL (DESIGN.md §12). The
-  /// mined rules are bit-identical either way; only the SQL engine's
-  /// execution strategy changes.
+  /// No effect; kept only so the frozen benchmark driver compiles.
   bool vectorized_sql = false;
 
   /// Cost-based planning for the generated SQL (DESIGN.md §14): join
-  /// reordering, build-side choice, tiny-input vectorized fallback and
-  /// spill fan-out sizing from catalog statistics plus observed-cardinality
-  /// feedback. The mined rules are bit-identical either way (the fuzz
-  /// oracle's cost-based route pins it).
+  /// reordering, build-side choice and spill fan-out sizing from catalog
+  /// statistics plus observed-cardinality feedback. The mined rules are
+  /// bit-identical either way (the fuzz oracle's cost-based route pins it).
   bool cost_based_sql = false;
 
   /// Memory budget in bytes for the SQL engine's operator working sets

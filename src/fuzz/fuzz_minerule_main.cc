@@ -38,7 +38,7 @@ int Usage() {
       "                     [--metrics]\n"
       "                     [--no-reference] [--no-decoupled]\n"
       "                     [--no-metamorphic] [--no-alt-algorithm]\n"
-      "                     [--no-dup-invariance] [--no-vectorized]\n"
+      "                     [--no-dup-invariance]\n"
       "                     [--no-memory-budget] [--memory-budget=BYTES]\n"
       "                     [--no-cost-based] [--no-concurrent]\n"
       "                     [--concurrent-sessions=N] [--no-oplog]\n"
@@ -188,8 +188,6 @@ int main(int argc, char** argv) {
       options.oracle.run_alternate_algorithm = false;
     } else if (std::strcmp(arg, "--no-dup-invariance") == 0) {
       options.oracle.run_duplicate_invariance = false;
-    } else if (std::strcmp(arg, "--no-vectorized") == 0) {
-      options.oracle.run_vectorized = false;
     } else if (std::strcmp(arg, "--no-memory-budget") == 0) {
       options.oracle.run_memory_budget = false;
     } else if (std::strcmp(arg, "--no-cost-based") == 0) {

@@ -17,10 +17,6 @@ struct OracleOptions {
   bool run_metamorphic = true;
   bool run_alternate_algorithm = true;
   bool run_duplicate_invariance = true;
-  /// Re-runs the pipeline with the vectorized SQL engine (DESIGN.md §12) at
-  /// 1 and `threads` workers; the catalog dump must match the row-engine
-  /// baseline byte for byte.
-  bool run_vectorized = true;
   /// Re-runs the pipeline with a tiny SQL memory budget (DESIGN.md §13) so
   /// every buffering operator spills to disk, at 1 and `threads` workers;
   /// the catalog dump must match the in-memory baseline byte for byte.

@@ -2,7 +2,6 @@
 #define MINERULE_RELATIONAL_TABLE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,14 +14,6 @@ namespace minerule {
 /// table mutation takes a fresh one, so "same name, same version" implies
 /// identical contents — even across a DROP + re-CREATE of the name.
 uint64_t NextTableVersion();
-
-struct ColumnarTable;  // relational/column.h
-
-/// Version-keyed cache behind Table::Columnar(); defined in column.cc. Held
-/// by shared_ptr so Table remains copyable (copies share the cache, which is
-/// safe: entries are keyed by the process-unique version stamp).
-class ColumnarCache;
-std::shared_ptr<ColumnarCache> MakeColumnarCache();
 
 /// An in-memory row-store relation. Tables are owned by the Catalog and
 /// referenced by shared_ptr so query results can outlive DDL.
@@ -73,12 +64,6 @@ class Table {
     return rows_;
   }
 
-  /// Columnar image of this table (relational/column.h): typed column
-  /// vectors with null bitmaps, built on first use and cached by version()
-  /// so repeated scans of an unchanged table share one image. The returned
-  /// snapshot is immutable and outlives subsequent mutations.
-  std::shared_ptr<const ColumnarTable> Columnar() const;
-
   /// Renders an aligned ASCII table (for examples and debugging).
   std::string ToDisplayString(size_t max_rows = 100) const;
 
@@ -88,7 +73,6 @@ class Table {
   std::vector<Row> rows_;
   uint64_t version_ = NextTableVersion();
   uint64_t shape_version_ = version_;
-  std::shared_ptr<ColumnarCache> columnar_cache_ = MakeColumnarCache();
 };
 
 /// Checks that `value` may be stored in a column of type `type`, coercing

@@ -103,16 +103,6 @@ class Value {
   Repr data_;
 };
 
-/// Hash functor for containers keyed on rows of values.
-struct ValueHash {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-struct ValueEq {
-  bool operator()(const Value& a, const Value& b) const {
-    return a.TotalEquals(b);
-  }
-};
-
 }  // namespace minerule
 
 #endif  // MINERULE_RELATIONAL_VALUE_H_

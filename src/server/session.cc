@@ -308,7 +308,6 @@ Status Session::ExecuteClassified(std::string_view statement,
   // append this statement's own mr_runs row.
   sql::SqlEngine* engine = system_->sql_engine();
   engine->set_num_threads(options_.num_threads);
-  engine->set_vectorized(options_.vectorized_sql);
   engine->set_cost_based(options_.cost_based_sql);
   if (options_.memory_limit != mr::MiningOptions::kMemoryLimitInherit) {
     engine->set_memory_limit(options_.memory_limit);

@@ -84,8 +84,8 @@ class Session {
   const std::string& name() const { return name_; }
 
   /// Per-session execution options, applied to both MINE RULE runs and
-  /// (where applicable: threads, vectorized, cost_based, memory_limit)
-  /// plain SQL. Mutating them never affects other sessions.
+  /// (where applicable: threads, cost_based, memory_limit) plain SQL.
+  /// Mutating them never affects other sessions.
   mr::MiningOptions* options() { return &options_; }
 
   /// Last error this session saw; empty after a successful statement.

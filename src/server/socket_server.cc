@@ -99,7 +99,6 @@ std::string ApplySetCommand(Session* session, const std::string& line) {
     apply(parsed);
     return "OK";
   };
-  if (name == "vectorized") return on_off(&options->vectorized_sql);
   if (name == "cost_based") return on_off(&options->cost_based_sql);
   if (name == "threads") {
     return integer(

@@ -30,8 +30,8 @@ std::string ApplySetCommand(Session* session, const std::string& line);
 /// is stripped before execution). Lines starting with '\' are session
 /// commands, executed immediately:
 ///
-///   \set threads N | vectorized on|off | cost_based on|off |
-///        memory_limit BYTES | slow_query_micros N
+///   \set threads N | cost_based on|off | memory_limit BYTES |
+///        slow_query_micros N
 ///                                    -- per-session options
 ///   \metrics                         -- Prometheus text exposition of the
 ///                                       whole metrics registry (§16)

@@ -62,7 +62,6 @@ ExecContext SqlEngine::MakeContext() {
   ctx.catalog = catalog_;
   ctx.host_vars = &host_vars_;
   ctx.num_threads = num_threads_;
-  ctx.vectorized = vectorized_;
   ctx.memory_limit = memory_limit_;
   ctx.spill_dir = spill_dir_;
   ctx.cost_based = cost_based_;

@@ -68,12 +68,8 @@ class SqlEngine {
   void set_num_threads(int num_threads) { num_threads_ = num_threads; }
   int num_threads() const { return num_threads_; }
 
-  /// Columnar-batch execution (DESIGN.md §12). When on, the planner swaps
-  /// eligible operators (scan, scan-fused filter, int-keyed hash join,
-  /// int-keyed group-by) for their vectorized counterparts. Off by default;
-  /// results are bit-identical either way — the differential tests pin this.
-  void set_vectorized(bool on) { vectorized_ = on; }
-  bool vectorized() const { return vectorized_; }
+  /// No effect; kept only so the frozen benchmark driver compiles.
+  void set_vectorized(bool /*on*/) {}
 
   /// Memory budget in bytes for operator working sets (DESIGN.md §13).
   /// < 0 (the default) disables the budget; >= 0 makes the buffering
@@ -133,7 +129,6 @@ class SqlEngine {
   HostVarMap host_vars_;
   bool collect_operator_stats_ = false;
   int num_threads_ = 1;
-  bool vectorized_ = false;
   int64_t memory_limit_ = -1;  // < 0 disables the budget
   std::string spill_dir_;      // empty means $TMPDIR or /tmp
   bool cost_based_ = false;

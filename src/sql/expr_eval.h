@@ -25,11 +25,6 @@ struct ExecContext {
   /// at Open(); the plan shape never depends on it.
   int num_threads = 1;
 
-  /// When true the planner substitutes vectorized (columnar-batch) operators
-  /// for eligible plan nodes (DESIGN.md §12). Results are bit-identical to
-  /// the row-at-a-time path; only the execution strategy changes.
-  bool vectorized = false;
-
   /// Memory budget in bytes for operator working sets (DESIGN.md §13).
   /// < 0 (the default) disables the budget entirely. >= 0 makes the
   /// buffering operators — hash-join build, aggregation, sort — run their
@@ -45,11 +40,11 @@ struct ExecContext {
   std::string spill_dir;
 
   /// Cost-based planning (DESIGN.md §14). When true the planner consults
-  /// `stats` and `feedback` to choose join order, hash-join build side,
-  /// vectorized-vs-volcano execution and the spill fan-out, and annotates
-  /// EXPLAIN with estimates. Off (the default), planning is purely
-  /// syntactic — plan shapes and EXPLAIN output are unchanged. Either way
-  /// the delivered results are bit-identical (the fuzz oracle pins this).
+  /// `stats` and `feedback` to choose join order, hash-join build side and
+  /// the spill fan-out, and annotates EXPLAIN with estimates. Off (the
+  /// default), planning is purely syntactic — plan shapes and EXPLAIN output
+  /// are unchanged. Either way the delivered results are bit-identical (the
+  /// fuzz oracle pins this).
   bool cost_based = false;
 
   /// Catalog statistics and observed-cardinality feedback, owned by the

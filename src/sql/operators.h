@@ -197,13 +197,6 @@ class ExecNode {
                             " does not support morsel evaluation");
   }
 
-  /// For vectorized parents that consume this node's columnar storage
-  /// directly (bypassing Next/RunMorsel): accounts the consumed rows so
-  /// EXPLAIN ANALYZE and mr_operator_stats stay truthful for the shim.
-  void CountBypassedRows(int64_t rows) {
-    rows_out_.fetch_add(rows, std::memory_order_relaxed);
-  }
-
   /// Max-updates the recorded worker count (relaxed CAS loop).
   void NoteWorkers(int workers) {
     int seen = workers_.load(std::memory_order_relaxed);

@@ -9,7 +9,6 @@
 #include "sql/parser.h"
 #include "sql/statistics.h"
 #include "sql/system_tables.h"
-#include "sql/vectorized.h"
 
 namespace minerule::sql {
 
@@ -141,9 +140,6 @@ constexpr double kSwapMinProbeRows = 1024.0;
 /// A reordered join must beat the canonical order by this factor to cover
 /// the hidden-rowid restore sort it requires.
 constexpr double kReorderMargin = 1.2;
-/// Below this many total source rows, columnar batching costs more than it
-/// saves; cost mode falls back to the row engine.
-constexpr int64_t kVectorizedMinRows = 4096;
 /// Estimates never collapse to zero — a zero would erase every downstream
 /// product.
 constexpr double kMinEstRows = 0.05;
@@ -362,8 +358,8 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanTableRef(TableRef* ref,
     for (const Column& col : table->schema().columns()) {
       scope.Add(ref->alias, col.name, col.type);
     }
-    return std::make_pair(MakeScanNode(std::move(table), ctx_),
-                          std::move(scope));
+    ExecNodePtr scan = std::make_unique<TableScanNode>(std::move(table));
+    return std::make_pair(std::move(scan), std::move(scope));
   }
   if (catalog_->HasView(ref->name)) {
     MR_ASSIGN_OR_RETURN(ViewDef view, catalog_->GetView(ref->name));
@@ -463,7 +459,8 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhere(
       }
     }
     if (ExprPtr pred = AndTogether(std::move(ready))) {
-      current = MakeFilterNode(std::move(current), std::move(pred), ctx_);
+      current = std::make_unique<FilterNode>(std::move(current),
+                                               std::move(pred), ctx_);
     }
     return Status::OK();
   };
@@ -505,9 +502,9 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhere(
     }
 
     if (!left_keys.empty()) {
-      current = MakeHashJoinNode(std::move(current), std::move(nodes[i]),
-                                 std::move(left_keys), std::move(right_keys),
-                                 nullptr, ctx_);
+      current = std::make_unique<HashJoinNode>(
+          std::move(current), std::move(nodes[i]), std::move(left_keys),
+          std::move(right_keys), nullptr, ctx_);
     } else {
       current = std::make_unique<NestedLoopJoinNode>(
           std::move(current), std::move(nodes[i]), nullptr, ctx_);
@@ -836,7 +833,8 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhereCostBased(
       applied[c] = true;
     }
     if (ExprPtr pred = AndTogether(std::move(ready))) {
-      node = MakeFilterNode(std::move(node), std::move(pred), ctx_);
+      node =
+          std::make_unique<FilterNode>(std::move(node), std::move(pred), ctx_);
     }
     node->SetPlanEstimates(eff_rows[i], raw_rows[i]);
     if (collect_feedback) {
@@ -860,7 +858,8 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhereCostBased(
       }
     }
     if (ExprPtr pred = AndTogether(std::move(ready))) {
-      current = MakeFilterNode(std::move(current), std::move(pred), ctx_);
+      current = std::make_unique<FilterNode>(std::move(current),
+                                               std::move(pred), ctx_);
       current->SetPlanEstimates(run.est, run.est);
     }
     return Status::OK();
@@ -912,9 +911,9 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhereCostBased(
       const bool swap = ctx_->memory_limit < 0 &&
                         eff_rows[t] >= kSwapMinProbeRows &&
                         left_est * kSwapBuildRatio < eff_rows[t];
-      current = MakeHashJoinNode(std::move(current), std::move(pipes[t]),
-                                 std::move(left_keys), std::move(right_keys),
-                                 nullptr, ctx_, swap);
+      current = std::make_unique<HashJoinNode>(
+          std::move(current), std::move(pipes[t]), std::move(left_keys),
+          std::move(right_keys), nullptr, ctx_, swap);
     } else {
       current = std::make_unique<NestedLoopJoinNode>(
           std::move(current), std::move(pipes[t]), nullptr, ctx_);
@@ -990,8 +989,9 @@ Result<PlannedSelect> Planner::Plan(SelectStmt* stmt) {
 }
 
 void Planner::TuneExecution(SelectStmt* stmt) {
-  if (!ctx_->cost_based || ctx_->stats == nullptr) return;
-  int64_t total_rows = 0;
+  if (!ctx_->cost_based || ctx_->stats == nullptr || ctx_->memory_limit < 0) {
+    return;
+  }
   int64_t max_bytes = 0;
   for (const TableRef& ref : stmt->from) {
     if (ref.kind != TableRef::Kind::kBase || !catalog_->HasTable(ref.name)) {
@@ -1000,26 +1000,18 @@ void Planner::TuneExecution(SelectStmt* stmt) {
     Result<std::shared_ptr<Table>> table = catalog_->GetTable(ref.name);
     if (!table.ok()) return;
     const TableStats* stats = ctx_->stats->GetOrCollect(**table);
-    total_rows += stats->row_count;
     max_bytes = std::max(max_bytes, stats->total_row_bytes);
-  }
-  // Columnar batching has per-batch overhead that tiny inputs never earn
-  // back; results are bit-identical either way, so flip freely.
-  if (ctx_->vectorized && total_rows < kVectorizedMinRows) {
-    ctx_->vectorized = false;
   }
   // Spill fan-out: enough partitions that one partition of the largest
   // table fits the budget, within [16, 64]. Partitioning never affects
   // results — every spill path restores output order from recorded input
   // indexes (DESIGN.md §13).
-  if (ctx_->memory_limit >= 0) {
-    const int64_t budget = std::max<int64_t>(ctx_->memory_limit, 1);
-    size_t fan = 16;
-    while (fan < 64 && max_bytes / static_cast<int64_t>(fan) > budget) {
-      fan *= 2;
-    }
-    ctx_->spill_partitions = fan;
+  const int64_t budget = std::max<int64_t>(ctx_->memory_limit, 1);
+  size_t fan = 16;
+  while (fan < 64 && max_bytes / static_cast<int64_t>(fan) > budget) {
+    fan *= 2;
   }
+  ctx_->spill_partitions = fan;
 }
 
 Result<PlannedSelect> Planner::PlanImpl(SelectStmt* stmt, int depth) {
@@ -1138,8 +1130,9 @@ Result<PlannedSelect> Planner::PlanImpl(SelectStmt* stmt, int depth) {
       }
     }
 
-    node = MakeHashAggregateNode(std::move(node), std::move(group_exprs),
-                                 std::move(agg_specs), agg_schema, ctx_);
+    node = std::make_unique<HashAggregateNode>(
+        std::move(node), std::move(group_exprs), std::move(agg_specs),
+        agg_schema, ctx_);
     if (stmt->having != nullptr) {
       node = std::make_unique<FilterNode>(std::move(node),
                                           std::move(stmt->having), ctx_);

@@ -70,8 +70,8 @@ class Planner {
       SelectStmt* stmt, std::vector<ExecNodePtr> nodes,
       std::vector<BindScope> scopes, std::vector<ExprPtr> conjuncts);
 
-  /// Cost-mode execution tuning decided once per top-level statement:
-  /// vectorized fallback on tiny inputs and spill fan-out sizing.
+  /// Cost-mode execution tuning decided once per top-level statement: spill
+  /// fan-out sizing under a memory budget.
   void TuneExecution(SelectStmt* stmt);
 
   Catalog* catalog_;

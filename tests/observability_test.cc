@@ -69,58 +69,6 @@ TEST_F(ObservabilityTest, ExplainGoldenPlan) {
             "      -> TableScan (t)\n");
 }
 
-// With vectorized execution on, the same statements plan onto the batch
-// operators; the plan shape is unchanged, only the operator names and the
-// fused scan+filter differ (DESIGN.md §12).
-TEST_F(ObservabilityTest, ExplainGoldenPlanVectorized) {
-  SetUpSmallTables();
-  system_.sql_engine()->set_vectorized(true);
-  EXPECT_EQ(Plan("EXPLAIN SELECT t.b, s.c FROM t, s WHERE t.a = s.a AND "
-                 "s.c > 1 ORDER BY t.b LIMIT 2"),
-            "Limit (2)\n"
-            "  -> Sort (b)\n"
-            "    -> Project (t.b, s.c)\n"
-            "      -> Filter ((s.c > 1))\n"
-            "        -> VecHashJoin (t.a = s.a)\n"
-            "          -> VecScan (t)\n"
-            "          -> VecScan (s)\n");
-  EXPECT_EQ(Plan("EXPLAIN SELECT a, COUNT(*) FROM t GROUP BY a "
-                 "HAVING COUNT(*) > 0"),
-            "Project (a, COUNT(*))\n"
-            "  -> Filter ((COUNT(*) > 0))\n"
-            "    -> VecHashAggregate (keys=1 aggs=1 by a)\n"
-            "      -> VecScan (t)\n");
-  // A single-table predicate fuses with the scan into VecFilter.
-  EXPECT_EQ(Plan("EXPLAIN SELECT b FROM t WHERE a >= 2"),
-            "Project (b)\n"
-            "  -> VecFilter ((a >= 2))\n"
-            "    -> VecScan (t)\n");
-  system_.sql_engine()->set_vectorized(false);
-}
-
-TEST_F(ObservabilityTest, ExplainAnalyzeVectorizedBatchCounters) {
-  SetUpSmallTables();
-  system_.sql_engine()->set_vectorized(true);
-  const std::string plan = Plan("EXPLAIN ANALYZE SELECT b FROM t WHERE a >= 2");
-  // 3 input rows fit one batch; 2 survive -> density 100*2/3 = 66.
-  EXPECT_NE(plan.find("VecFilter ((a >= 2)) rows=2"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("batches=1"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("sel_vector_density=66"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("est_bytes="), std::string::npos) << plan;
-
-  const std::string join =
-      Plan("EXPLAIN ANALYZE SELECT t.b FROM t, s WHERE t.a = s.a");
-  EXPECT_NE(join.find("VecHashJoin"), std::string::npos) << join;
-  EXPECT_NE(join.find("build_rows=2"), std::string::npos) << join;
-  EXPECT_NE(join.find("buckets="), std::string::npos) << join;
-
-  const std::string agg =
-      Plan("EXPLAIN ANALYZE SELECT a, COUNT(*) FROM t GROUP BY a");
-  EXPECT_NE(agg.find("VecHashAggregate"), std::string::npos) << agg;
-  EXPECT_NE(agg.find("groups=3"), std::string::npos) << agg;
-  system_.sql_engine()->set_vectorized(false);
-}
-
 TEST_F(ObservabilityTest, ExplainAnalyzeReportsRowsAndTime) {
   SetUpSmallTables();
   const std::string plan = Plan("EXPLAIN ANALYZE SELECT b FROM t WHERE a >= 2");

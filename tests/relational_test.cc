@@ -1,11 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "relational/catalog.h"
-#include "relational/column.h"
 #include "relational/date.h"
 #include "relational/value.h"
 
@@ -197,142 +195,6 @@ TEST(CatalogTest, NameListings) {
   EXPECT_EQ(catalog.TableNames(), (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(catalog.ViewNames(), std::vector<std::string>{"v"});
   EXPECT_EQ(catalog.SequenceNames(), std::vector<std::string>{"s"});
-}
-
-// --- Columnar image (relational/column.h, DESIGN.md §12) -------------------
-
-TEST(ColumnarTest, TypedEncodingsRoundTrip) {
-  Schema schema({{"i", DataType::kInteger},
-                 {"d", DataType::kDouble},
-                 {"s", DataType::kString},
-                 {"b", DataType::kBoolean},
-                 {"dt", DataType::kDate}});
-  std::vector<Row> rows;
-  for (int i = 0; i < 100; ++i) {
-    rows.push_back({Value::Integer(i * 7 - 50),
-                    Value::Double(i * 0.125),
-                    Value::String("s" + std::to_string(i % 5)),
-                    Value::Boolean(i % 2 == 0),
-                    Value::Date(9000 + i)});
-  }
-  auto ct = ColumnarTable::FromRows(schema, rows);
-  ASSERT_EQ(ct->num_rows, rows.size());
-  EXPECT_EQ(ct->columns[0].encoding(), ColumnEncoding::kInt64);
-  EXPECT_EQ(ct->columns[1].encoding(), ColumnEncoding::kDouble);
-  EXPECT_EQ(ct->columns[2].encoding(), ColumnEncoding::kDict);
-  EXPECT_EQ(ct->columns[3].encoding(), ColumnEncoding::kInt64);
-  EXPECT_EQ(ct->columns[4].encoding(), ColumnEncoding::kInt64);
-  EXPECT_EQ(ct->columns[2].dictionary().size(), 5u);
-  Row out;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    ct->MaterializeRow(i, &out);
-    ASSERT_EQ(out.size(), rows[i].size());
-    for (size_t c = 0; c < out.size(); ++c) {
-      EXPECT_EQ(out[c].ToString(), rows[i][c].ToString()) << i << "," << c;
-      EXPECT_EQ(out[c].type(), rows[i][c].type()) << i << "," << c;
-    }
-  }
-}
-
-TEST(ColumnarTest, AllNullColumnKeepsTypedEncoding) {
-  Schema schema({{"i", DataType::kInteger}});
-  std::vector<Row> rows(500, Row{Value::Null()});
-  auto ct = ColumnarTable::FromRows(schema, rows);
-  const ColumnVector& col = ct->columns[0];
-  EXPECT_EQ(col.encoding(), ColumnEncoding::kInt64);
-  EXPECT_EQ(col.nulls().null_count(), 500u);
-  for (size_t i = 0; i < 500; ++i) {
-    EXPECT_TRUE(col.IsNull(i));
-    EXPECT_TRUE(col.GetValue(i).is_null());
-  }
-}
-
-TEST(ColumnarTest, EmptyTableProducesEmptyColumns) {
-  Schema schema({{"i", DataType::kInteger}, {"s", DataType::kString}});
-  auto ct = ColumnarTable::FromRows(schema, {});
-  EXPECT_EQ(ct->num_rows, 0u);
-  ASSERT_EQ(ct->columns.size(), 2u);
-  EXPECT_EQ(ct->columns[0].size(), 0u);
-  EXPECT_FALSE(ct->columns[0].nulls().AnyNull());
-}
-
-TEST(ColumnarTest, DictionaryOverflowFallsBackToGeneric) {
-  // One more distinct string than the uint16 code space holds.
-  constexpr size_t kDistinct = (size_t{1} << 16) + 1;
-  Schema schema({{"s", DataType::kString}});
-  std::vector<Row> rows;
-  rows.reserve(kDistinct);
-  for (size_t i = 0; i < kDistinct; ++i) {
-    rows.push_back({Value::String("v" + std::to_string(i))});
-  }
-  auto ct = ColumnarTable::FromRows(schema, rows);
-  EXPECT_EQ(ct->columns[0].encoding(), ColumnEncoding::kGeneric);
-  // Round trip still lossless at the edges and past the overflow point.
-  for (size_t i : {size_t{0}, size_t{65535}, size_t{65536}, kDistinct - 1}) {
-    EXPECT_EQ(ct->columns[0].GetValue(i).ToString(), rows[i][0].ToString());
-  }
-  // Just-at-capacity stays dictionary-encoded.
-  rows.pop_back();
-  auto fits = ColumnarTable::FromRows(schema, rows);
-  EXPECT_EQ(fits->columns[0].encoding(), ColumnEncoding::kDict);
-  EXPECT_EQ(fits->columns[0].dictionary().size(), size_t{1} << 16);
-}
-
-TEST(ColumnarTest, TypeImpureColumnFallsBackToGeneric) {
-  // AppendUnchecked can put a Double into an INTEGER-declared column; the
-  // generic encoding must preserve the runtime type bit-for-bit.
-  Schema schema({{"a", DataType::kInteger}});
-  std::vector<Row> rows = {{Value::Integer(1)},
-                           {Value::Double(1.5)},
-                           {Value::Null()},
-                           {Value::Integer(2)}};
-  auto ct = ColumnarTable::FromRows(schema, rows);
-  const ColumnVector& col = ct->columns[0];
-  EXPECT_EQ(col.encoding(), ColumnEncoding::kGeneric);
-  EXPECT_EQ(col.GetValue(0).type(), DataType::kInteger);
-  EXPECT_EQ(col.GetValue(1).type(), DataType::kDouble);
-  EXPECT_TRUE(col.GetValue(2).is_null());
-  EXPECT_EQ(col.GetValue(1).ToString(), Value::Double(1.5).ToString());
-}
-
-TEST(ColumnarTest, NullBitmapWordAndMorselBoundaries) {
-  // Nulls straddling 64-bit word edges and the 1024-row morsel edge.
-  const std::vector<size_t> null_at = {0, 63, 64, 65, 127, 1023, 1024, 1025};
-  Schema schema({{"i", DataType::kInteger}});
-  std::vector<Row> rows;
-  for (size_t i = 0; i < 1100; ++i) {
-    bool null = std::find(null_at.begin(), null_at.end(), i) != null_at.end();
-    rows.push_back({null ? Value::Null()
-                         : Value::Integer(static_cast<int64_t>(i))});
-  }
-  auto ct = ColumnarTable::FromRows(schema, rows);
-  const ColumnVector& col = ct->columns[0];
-  EXPECT_EQ(col.encoding(), ColumnEncoding::kInt64);
-  EXPECT_EQ(col.nulls().null_count(), null_at.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    bool expect_null =
-        std::find(null_at.begin(), null_at.end(), i) != null_at.end();
-    EXPECT_EQ(col.IsNull(i), expect_null) << i;
-    if (!expect_null) {
-      EXPECT_EQ(col.ints()[i], static_cast<int64_t>(i)) << i;
-    }
-  }
-}
-
-TEST(ColumnarTest, TableCachesImageByVersion) {
-  Table table("t", Schema({{"a", DataType::kInteger}}));
-  table.AppendUnchecked({Value::Integer(1)});
-  auto first = table.Columnar();
-  auto again = table.Columnar();
-  EXPECT_EQ(first.get(), again.get());  // unchanged table shares the image
-  table.AppendUnchecked({Value::Integer(2)});
-  auto rebuilt = table.Columnar();
-  EXPECT_NE(first.get(), rebuilt.get());
-  EXPECT_EQ(rebuilt->num_rows, 2u);
-  // The old snapshot is immutable and still valid after the mutation.
-  EXPECT_EQ(first->num_rows, 1u);
-  EXPECT_EQ(first->columns[0].GetValue(0).ToString(),
-            Value::Integer(1).ToString());
 }
 
 TEST(RowHashTest, EqualRowsHashEqual) {

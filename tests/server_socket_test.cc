@@ -170,12 +170,12 @@ TEST_F(ServerSocketTest, MineRuleOverTheWire) {
 
 TEST_F(ServerSocketTest, BackslashCommands) {
   Client client(path_);
-  auto response = client.Roundtrip("\\set vectorized on\n");
+  auto response = client.Roundtrip("\\set cost_based on\n");
   ASSERT_EQ(response.size(), 1u);
   EXPECT_EQ(response[0], "OK");
   response = client.Roundtrip("\\set threads 2\n");
   EXPECT_EQ(response[0], "OK");
-  response = client.Roundtrip("\\set vectorized sideways\n");
+  response = client.Roundtrip("\\set cost_based sideways\n");
   EXPECT_EQ(response[0].rfind("ERR ", 0), 0u) << response[0];
   response = client.Roundtrip("\\frobnicate\n");
   EXPECT_EQ(response[0].rfind("ERR unknown command", 0), 0u) << response[0];
@@ -203,8 +203,8 @@ TEST_F(ServerSocketTest, ConcurrentConnectionsGetOwnSessions) {
       }
       // Each connection has private options; churn them to prove no
       // cross-talk crashes or leaks settings mid-flight.
-      auto set = client.Roundtrip(k % 2 == 0 ? "\\set vectorized on\n"
-                                             : "\\set cost_based on\n");
+      auto set = client.Roundtrip(k % 2 == 0 ? "\\set cost_based on\n"
+                                             : "\\set cost_based off\n");
       if (set.empty() || set[0] != "OK") failures.fetch_add(1);
     });
   }
@@ -259,12 +259,12 @@ TEST_F(ServerSocketTest, SetCommandKeyMatrix) {
             "ERR usage: \\set NAME VALUE");
 
   // on|off keys, including case-insensitive key names.
-  EXPECT_EQ(server::ApplySetCommand(s, "\\set vectorized on"), "OK");
-  EXPECT_TRUE(s->options()->vectorized_sql);
-  EXPECT_EQ(server::ApplySetCommand(s, "\\set VECTORIZED off"), "OK");
-  EXPECT_FALSE(s->options()->vectorized_sql);
-  EXPECT_EQ(server::ApplySetCommand(s, "\\set vectorized sideways"),
-            "ERR expected on|off for \\set vectorized, got 'sideways'");
+  EXPECT_EQ(server::ApplySetCommand(s, "\\set cost_based on"), "OK");
+  EXPECT_TRUE(s->options()->cost_based_sql);
+  EXPECT_EQ(server::ApplySetCommand(s, "\\set COST_BASED off"), "OK");
+  EXPECT_FALSE(s->options()->cost_based_sql);
+  EXPECT_EQ(server::ApplySetCommand(s, "\\set cost_based sideways"),
+            "ERR expected on|off for \\set cost_based, got 'sideways'");
   EXPECT_EQ(server::ApplySetCommand(s, "\\set cost_based on"), "OK");
   EXPECT_TRUE(s->options()->cost_based_sql);
 
@@ -289,6 +289,18 @@ TEST_F(ServerSocketTest, SetCommandKeyMatrix) {
   // Unknown keys name the key, lower-cased.
   EXPECT_EQ(server::ApplySetCommand(s, "\\set Frobnication on"),
             "ERR unknown option: frobnication");
+}
+
+// `vectorized` is not a session setting: a client sending it gets the
+// unknown-option error, not a silent OK.
+TEST_F(ServerSocketTest, RemovedVectorizedSettingIsUnknown) {
+  Client client(path_);
+  auto response = client.Roundtrip("\\set vectorized on\n");
+  ASSERT_EQ(response.size(), 1u);
+  EXPECT_EQ(response[0], "ERR unknown option: vectorized");
+  // The connection stays usable.
+  response = client.Roundtrip("SELECT COUNT(*) FROM Purchase;\n");
+  EXPECT_EQ(response[0].rfind("OK rows=1 ", 0), 0u) << response[0];
 }
 
 // \metrics over the wire emits Prometheus text that round-trips through the

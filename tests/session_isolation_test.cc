@@ -93,12 +93,10 @@ TEST(SessionIsolationTest, OptionsDoNotLeakAcrossSessions) {
   auto vanilla = server.Connect("vanilla");
 
   const mr::MiningOptions before = *vanilla->options();
-  tuned->options()->vectorized_sql = true;
   tuned->options()->cost_based_sql = true;
   tuned->options()->num_threads = 1;
   tuned->options()->memory_limit = 256 * 1024;
 
-  EXPECT_EQ(vanilla->options()->vectorized_sql, before.vectorized_sql);
   EXPECT_EQ(vanilla->options()->cost_based_sql, before.cost_based_sql);
   EXPECT_EQ(vanilla->options()->num_threads, before.num_threads);
   EXPECT_EQ(vanilla->options()->memory_limit, before.memory_limit);

@@ -1,9 +1,11 @@
 // Differential tests of morsel-driven parallel execution (DESIGN.md §9):
-// every query result must be BIT-identical — same rows in the same order —
-// at every thread count. Covers the randomized SELECT surface (joins,
-// aggregation, DISTINCT, ORDER BY, HAVING, LIMIT, subqueries), the NEXTVAL
-// serial gate, full MINE RULE runs (preprocessor Q0..Q11 + postprocessor
-// over identical catalogs), and the workers/morsels observability counters.
+// every query result must be BIT-identical — same rows in the same order,
+// or the same error — at every thread count. Covers the SELECT surface
+// (joins, aggregation, DISTINCT, ORDER BY, HAVING, LIMIT, subqueries) over
+// integer, double, string, date and mixed-type columns, randomized queries,
+// DML through SELECT, the NEXTVAL serial gate, full MINE RULE runs
+// (preprocessor Q0..Q11 + postprocessor over identical catalogs), and the
+// workers/morsels observability counters.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "datagen/retail_gen.h"
 #include "engine/data_mining_system.h"
@@ -62,6 +65,11 @@ class SqlParallelDifferentialTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   SqlParallelDifferentialTest() : engine_(&catalog_) {}
 
+  /// L, R and E are integer-only: a big and a small join side and an empty
+  /// one. F spans integer (with NULLs), double, string and date columns; D
+  /// is a small int-keyed dimension; M has an INTEGER-declared column
+  /// holding a mix of Integer, integral Double, fractional Double and NULL
+  /// values, so cross-type key equality gets exercised.
   void GenerateTables(uint64_t seed) {
     Random rng(seed);
     auto big = catalog_.CreateTable(
@@ -87,17 +95,74 @@ class SqlParallelDifferentialTest : public ::testing::TestWithParam<uint64_t> {
       small.value()->AppendUnchecked(
           {key, Value::Integer(rng.NextInt(0, 999))});
     }
+
+    StreamRng root(seed);
+    auto facts = catalog_.CreateTable(
+        "F", Schema({{"id", DataType::kInteger},
+                     {"k", DataType::kInteger},
+                     {"d", DataType::kDouble},
+                     {"s", DataType::kString},
+                     {"dt", DataType::kDate}}));
+    auto dim = catalog_.CreateTable(
+        "D", Schema({{"k", DataType::kInteger}, {"name", DataType::kString}}));
+    auto mixed = catalog_.CreateTable(
+        "M", Schema({{"a", DataType::kInteger}, {"b", DataType::kString}}));
+    ASSERT_TRUE(facts.ok());
+    ASSERT_TRUE(dim.ok());
+    ASSERT_TRUE(mixed.ok());
+    Random f = root.Stream("facts");
+    for (int i = 0; i < 3000; ++i) {
+      Value k = f.NextBool(0.05) ? Value::Null()
+                                 : Value::Integer(f.NextInt(0, 200));
+      Value d = f.NextBool(0.05)
+                    ? Value::Null()
+                    : Value::Double(static_cast<double>(f.NextInt(0, 4000)) /
+                                    8.0);
+      Value s = f.NextBool(0.05)
+                    ? Value::Null()
+                    : Value::String("item_" + std::to_string(f.NextInt(0, 24)));
+      Value dt = f.NextBool(0.05)
+                     ? Value::Null()
+                     : Value::Date(static_cast<int32_t>(f.NextInt(9000, 9365)));
+      facts.value()->AppendUnchecked(
+          {Value::Integer(i), std::move(k), std::move(d), std::move(s),
+           std::move(dt)});
+    }
+    Random g = root.Stream("dim");
+    for (int i = 0; i < 300; ++i) {
+      Value k = g.NextBool(0.05) ? Value::Null()
+                                 : Value::Integer(g.NextInt(0, 200));
+      dim.value()->AppendUnchecked(
+          {std::move(k), Value::String("d" + std::to_string(i % 40))});
+    }
+    Random m = root.Stream("mixed");
+    for (int i = 0; i < 1500; ++i) {
+      Value a;
+      switch (m.NextBounded(4)) {
+        case 0: a = Value::Integer(m.NextInt(0, 50)); break;
+        case 1: a = Value::Double(static_cast<double>(m.NextInt(0, 50))); break;
+        case 2: a = Value::Double(static_cast<double>(m.NextInt(0, 50)) + 0.5); break;
+        default: a = Value::Null(); break;
+      }
+      mixed.value()->AppendUnchecked(
+          {std::move(a), Value::String("m" + std::to_string(i % 15))});
+    }
   }
 
-  /// Runs `sql` at every thread count and requires the results to be
-  /// row-for-row identical to the serial (threads == 1) baseline.
-  void ExpectIdenticalAcrossThreadCounts(const std::string& sql) {
+  /// Runs `sql` at every thread count and requires the outcome to be
+  /// identical to the serial (threads == 1) baseline: the same rows in the
+  /// same order or, when `expect_error`, the same error.
+  void ExpectIdenticalAcrossThreadCounts(const std::string& sql,
+                                         bool expect_error = false) {
     std::vector<std::string> baseline;
     for (int threads : kThreadCounts) {
       engine_.set_num_threads(threads);
       auto result = engine_.Execute(sql);
-      ASSERT_TRUE(result.ok()) << sql << " -> " << result.status();
-      std::vector<std::string> rendered = RenderRows(result.value().rows);
+      ASSERT_EQ(result.ok(), !expect_error)
+          << sql << " at " << threads << " threads -> " << result.status();
+      std::vector<std::string> rendered =
+          result.ok() ? RenderRows(result.value().rows)
+                      : std::vector<std::string>{result.status().ToString()};
       if (threads == 1) {
         baseline = std::move(rendered);
         continue;
@@ -145,6 +210,155 @@ TEST_P(SqlParallelDifferentialTest, QuerySweepBitIdentical) {
   for (const char* sql : queries) {
     ExpectIdenticalAcrossThreadCounts(sql);
   }
+}
+
+TEST_P(SqlParallelDifferentialTest, TypedQuerySweepBitIdentical) {
+  GenerateTables(GetParam());
+  const char* queries[] = {
+      "SELECT id, k, d, s, dt FROM F WHERE k > 50",
+      "SELECT id FROM F WHERE k >= 10 AND k < 150 AND d > 2.5",
+      "SELECT id, d FROM F WHERE d <= 250.0",
+      // Cross-type literal compares: double column vs integer literal,
+      // integer column vs fractional double literal.
+      "SELECT id FROM F WHERE d < 100",
+      "SELECT id FROM F WHERE k > 3.5",
+      "SELECT id FROM F WHERE k <= 199.25",
+      // Integer column vs an out-of-range double: all or nothing.
+      "SELECT id FROM F WHERE k < 1.0e300",
+      "SELECT id FROM F WHERE k > 1.0e300",
+      // String predicates: equality, range, inequality.
+      "SELECT id, s FROM F WHERE s = 'item_3'",
+      "SELECT id FROM F WHERE s >= 'item_2' AND s <> 'item_7'",
+      "SELECT id FROM F WHERE s < 'item_12'",
+      // Date predicates: DATE literal and coerced string literal.
+      "SELECT id, dt FROM F WHERE dt >= DATE '1995-01-01'",
+      "SELECT id FROM F WHERE dt < '1995-03-15'",
+      // Arithmetic on the column, OR, IS NULL.
+      "SELECT id FROM F WHERE k + 1 > 50",
+      "SELECT id FROM F WHERE k > 150 OR d < 10",
+      "SELECT id FROM F WHERE k IS NULL",
+      // Int-keyed hash join (NULL keys never match), join + filter, and a
+      // join with a residual predicate.
+      "SELECT F.id, D.name FROM F, D WHERE F.k = D.k",
+      "SELECT F.id, D.name FROM F, D WHERE F.k = D.k AND F.d > 100",
+      "SELECT F.id FROM F, D WHERE F.k = D.k AND F.id < D.k",
+      // Empty build side: probe scan skipped.
+      "SELECT F.id, E.w FROM F, E WHERE F.k = E.k",
+      // Aggregation over integer, double and string arguments and keys.
+      "SELECT k, COUNT(*), MIN(d), MAX(k) FROM F GROUP BY k",
+      "SELECT k, SUM(d), AVG(d) FROM F GROUP BY k",
+      "SELECT k, COUNT(d), SUM(k) FROM F GROUP BY k",
+      "SELECT COUNT(*), SUM(k), AVG(d), MIN(s) FROM F",
+      "SELECT COUNT(*), MIN(k) FROM E",
+      "SELECT k, COUNT(DISTINCT s) FROM F GROUP BY k",
+      "SELECT s, COUNT(*), SUM(d) FROM F GROUP BY s",
+      // Aggregation over a join, HAVING, ORDER BY, LIMIT.
+      "SELECT D.k, COUNT(*), SUM(F.d) FROM F, D WHERE F.k = D.k GROUP BY D.k "
+      "HAVING COUNT(*) > 2 ORDER BY D.k",
+      "SELECT k, d FROM F WHERE d >= 0 ORDER BY k DESC, id LIMIT 37",
+      "SELECT DISTINCT k FROM F",
+      "SELECT v FROM (SELECT k AS v FROM F WHERE k > 10) AS sub WHERE v < 100",
+      // Mixed-type INTEGER column as group key and as join key.
+      "SELECT a, COUNT(*) FROM M GROUP BY a",
+      "SELECT F.id, M.b FROM F, M WHERE F.k = M.a",
+  };
+  for (const char* sql : queries) {
+    ExpectIdenticalAcrossThreadCounts(sql);
+  }
+  // Error parity: a string column compared to an integer literal raises
+  // the same per-row type error at every thread count.
+  ExpectIdenticalAcrossThreadCounts("SELECT id FROM F WHERE s > 5",
+                                    /*expect_error=*/true);
+}
+
+TEST_P(SqlParallelDifferentialTest, RandomizedQueriesBitIdentical) {
+  GenerateTables(GetParam());
+  StreamRng root(GetParam());
+  Random rng = root.Stream("queries");
+  static const char* kOps[] = {"=", "<>", "<", "<=", ">", ">="};
+  auto predicate = [&rng]() -> std::string {
+    const char* op = kOps[rng.NextBounded(6)];
+    switch (rng.NextBounded(6)) {
+      case 0:
+        return "F.k " + std::string(op) + " " +
+               std::to_string(rng.NextInt(0, 200));
+      case 1:
+        return "F.k " + std::string(op) + " " +
+               std::to_string(rng.NextInt(0, 200)) + "." +
+               std::to_string(rng.NextInt(0, 9));
+      case 2:
+        return "F.d " + std::string(op) + " " +
+               std::to_string(rng.NextInt(0, 500)) + ".5";
+      case 3:
+        return "F.d " + std::string(op) + " " +
+               std::to_string(rng.NextInt(0, 500));
+      case 4:
+        return "F.s " + std::string(op) + " 'item_" +
+               std::to_string(rng.NextInt(0, 30)) + "'";
+      default:
+        return "F.dt " + std::string(op) + " DATE '1995-0" +
+               std::to_string(rng.NextInt(1, 6)) + "-15'";
+    }
+  };
+  auto where = [&rng, &predicate]() -> std::string {
+    std::string out = predicate();
+    for (uint64_t extra = rng.NextBounded(3); extra > 0; --extra) {
+      out += " AND " + predicate();
+    }
+    return out;
+  };
+  for (int i = 0; i < 40; ++i) {
+    std::string sql;
+    switch (rng.NextBounded(4)) {
+      case 0:
+        sql = "SELECT F.id, F.k, F.d FROM F WHERE " + where();
+        break;
+      case 1:
+        sql = "SELECT F.id, D.name FROM F, D WHERE F.k = D.k AND " + where();
+        break;
+      case 2:
+        sql = "SELECT F.k, COUNT(*), SUM(F.d), MIN(F.k), MAX(F.d) FROM F "
+              "WHERE " + where() + " GROUP BY F.k";
+        break;
+      default:
+        sql = "SELECT D.k, COUNT(*), AVG(F.d) FROM F, D WHERE F.k = D.k AND " +
+              where() + " GROUP BY D.k";
+        break;
+    }
+    ExpectIdenticalAcrossThreadCounts(sql);
+  }
+}
+
+TEST_P(SqlParallelDifferentialTest, DmlThroughSelectMatches) {
+  GenerateTables(GetParam());
+  // CREATE TABLE AS SELECT and INSERT ... SELECT funnel parallel results
+  // into stored tables; the stored bytes must match the serial run.
+  std::string baseline;
+  for (int threads : kThreadCounts) {
+    (void)engine_.Execute("DROP TABLE IF EXISTS agg_out");
+    engine_.set_num_threads(threads);
+    ASSERT_TRUE(engine_
+                    .Execute("CREATE TABLE agg_out AS SELECT k, COUNT(*) AS "
+                             "c, SUM(d) AS s FROM F GROUP BY k")
+                    .ok());
+    ASSERT_TRUE(engine_
+                    .Execute("INSERT INTO agg_out SELECT D.k, COUNT(*), "
+                             "SUM(F.d) FROM F, D WHERE F.k = D.k GROUP BY "
+                             "D.k")
+                    .ok());
+    auto table = catalog_.GetTable("agg_out");
+    ASSERT_TRUE(table.ok());
+    std::string dump;
+    for (const std::string& line : RenderRows(table.value()->rows())) {
+      dump += line + "\n";
+    }
+    if (threads == 1) {
+      baseline = std::move(dump);
+      continue;
+    }
+    EXPECT_EQ(dump, baseline) << "DML diverged at " << threads << " threads";
+  }
+  engine_.set_num_threads(1);
 }
 
 TEST_P(SqlParallelDifferentialTest, MemoryBudgetKeepsThreadCountInvariance) {

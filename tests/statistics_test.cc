@@ -303,12 +303,9 @@ TEST_F(CostBasedPlanningTest, SwapsBuildSideOnSkew) {
   ASSERT_FALSE(baseline.empty());
 
   engine_.set_cost_based(true);
-  // Row-at-a-time, vectorized, spilled, threaded: all byte-identical to the
-  // syntactic baseline.
-  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "cost-based row engine";
-  engine_.set_vectorized(true);
-  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "cost-based vectorized";
-  engine_.set_vectorized(false);
+  // In memory, spilled, threaded: all byte-identical to the syntactic
+  // baseline.
+  EXPECT_EQ(Dump(MustExecute(query)), baseline) << "cost-based in memory";
   engine_.set_memory_limit(1024);
   EXPECT_EQ(Dump(MustExecute(query)), baseline) << "cost-based spilled";
   engine_.set_memory_limit(-1);
