@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -323,6 +324,7 @@ std::string RenderResult(const sql::QueryResult& result) {
 //
 // Both parts alternate the two sides within each repetition and judge a
 // shape on the median of the paired ratios, not on the best run per side.
+// A timed SQL sample repeats its query until it spans kMinSampleMs.
 // Emits one validated JSON report and PLAN SMOKE OK / PLAN SMOKE FAIL.
 
 struct PlanQuery {
@@ -336,6 +338,7 @@ int RunPlanSmoke() {
   constexpr int kMineReps = 4;
   constexpr double kSlowdownTolerance = 1.05;
   constexpr double kRequiredSpeedup = 1.15;
+  constexpr double kMinSampleMs = 150.0;
 
   Catalog catalog;
   sql::SqlEngine engine(&catalog);
@@ -424,15 +427,24 @@ int RunPlanSmoke() {
   for (const PlanQuery& q : queries) {
     std::vector<double> ms_of[2];
     std::string dump[2];
+    double warmup_ms[2] = {0.0, 0.0};
+    int runs_per_sample = 1;
     // Interleaved with alternating order, for the same reason as the
     // mining loop below: both modes should see the same allocator state.
-    // Repetition 0 is an untimed warm-up of both modes.
+    // Repetition 0 is an untimed warm-up of both modes. Every timed sample
+    // then runs the query back to back until it spans kMinSampleMs (by the
+    // slower warm-up): with single 10-20 ms executions, the paired ratios
+    // of two identical plans spread past the 5% bound.
     for (int rep = 0; rep <= kReps; ++rep) {
       for (int pos = 0; pos < 2; ++pos) {
         const int cost = (pos + rep) % 2;
         engine.set_cost_based(cost == 1);
         auto start = std::chrono::steady_clock::now();
-        auto result = engine.Execute(q.sql);
+        Result<sql::QueryResult> result = engine.Execute(q.sql);
+        for (int run = 1; rep > 0 && run < runs_per_sample && result.ok();
+             ++run) {
+          result = engine.Execute(q.sql);
+        }
         auto stop = std::chrono::steady_clock::now();
         if (!result.ok()) {
           std::fprintf(stderr, "PLAN SMOKE FAIL %s (%s): %s\n", q.name,
@@ -440,13 +452,20 @@ int RunPlanSmoke() {
                        result.status().ToString().c_str());
           return 1;
         }
+        const double ms =
+            std::chrono::duration<double, std::milli>(stop - start).count();
         if (rep == 0) {
           dump[cost] = RenderResult(result.value());
+          warmup_ms[cost] = ms;
         } else {
-          ms_of[cost].push_back(
-              std::chrono::duration<double, std::milli>(stop - start)
-                  .count());
+          ms_of[cost].push_back(ms / runs_per_sample);
         }
+      }
+      if (rep == 0) {
+        const double slower =
+            std::max({warmup_ms[0], warmup_ms[1], 1.0});
+        runs_per_sample =
+            std::max(1, static_cast<int>(std::ceil(kMinSampleMs / slower)));
       }
     }
     if (dump[0] != dump[1]) {

@@ -38,9 +38,12 @@ Status Table::Append(Row row) {
         " columns");
   }
   for (size_t i = 0; i < row.size(); ++i) {
-    MR_ASSIGN_OR_RETURN(
-        row[i], CoerceValueToColumn(row[i], schema_.column(i).type,
-                                    schema_.column(i).name));
+    const Column& column = schema_.column(i);
+    // Values that already fit stay where they are; only a mismatch
+    // (INTEGER widening, an integral DOUBLE, or an error) is coerced.
+    if (row[i].is_null() || row[i].type() == column.type) continue;
+    MR_ASSIGN_OR_RETURN(row[i],
+                        CoerceValueToColumn(row[i], column.type, column.name));
   }
   rows_.push_back(std::move(row));
   version_ = NextTableVersion();

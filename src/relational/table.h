@@ -1,6 +1,7 @@
 #ifndef MINERULE_RELATIONAL_TABLE_H_
 #define MINERULE_RELATIONAL_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -32,10 +33,10 @@ class Table {
   /// (e.g. the preprocess cache) fold it into their keys to detect DML.
   uint64_t version() const { return version_; }
 
-  /// Epoch of the last *non-append* mutation (Clear, mutable_rows). While
-  /// shape_version() holds still, the table has only grown at the tail, so
-  /// incremental consumers (the statistics catalog) may fold just the new
-  /// suffix instead of rescanning (DESIGN.md §14).
+  /// Epoch of the last *non-append* mutation (Clear, Truncate,
+  /// mutable_rows). While shape_version() holds still, the table has only
+  /// grown at the tail, so incremental consumers (the statistics catalog)
+  /// may fold just the new suffix instead of rescanning (DESIGN.md §14).
   uint64_t shape_version() const { return shape_version_; }
 
   /// Appends after checking arity and per-column type compatibility
@@ -47,6 +48,13 @@ class Table {
   void AppendUnchecked(Row row) {
     rows_.push_back(std::move(row));
     version_ = NextTableVersion();
+  }
+
+  /// Drops every row after the first `n` (rolls back a failed INSERT).
+  void Truncate(size_t n) {
+    rows_.resize(std::min(n, rows_.size()));
+    version_ = NextTableVersion();
+    shape_version_ = version_;
   }
 
   void Clear() {

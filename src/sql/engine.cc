@@ -141,18 +141,26 @@ Result<QueryResult> SqlEngine::ExecuteCreateTable(CreateTableStmt* stmt) {
     Planner planner(catalog_, &ctx);
     MR_ASSIGN_OR_RETURN(PlannedSelect planned,
                         planner.Plan(stmt->as_select.get()));
-    MR_ASSIGN_OR_RETURN(std::vector<Row> rows,
-                        CollectRowsParallel(planned.node.get(), num_threads_));
-    RecordFeedback(planned);
-    if (collect_operator_stats_) {
-      result.profile = FlattenPlanProfile(planned.node.get());
-    }
+    // The table is created only once its query is planned, so the query
+    // cannot see it; rows then stream into it as they are produced. A
+    // failure drops it again: no half-filled table survives.
     MR_ASSIGN_OR_RETURN(
         std::shared_ptr<Table> table,
         catalog_->CreateTable(stmt->name, planned.out_schema));
-    table->Reserve(rows.size());
-    for (Row& row : rows) {
-      MR_RETURN_IF_ERROR(table->Append(std::move(row)));
+    Status status = planned.node->Open();
+    if (status.ok()) {
+      status = DrainOpenedNode(planned.node.get(), num_threads_,
+                               [&table](Row* row) {
+                                 return table->Append(std::move(*row));
+                               });
+    }
+    if (!status.ok()) {
+      catalog_->DropTableIfExists(stmt->name);
+      return status;
+    }
+    RecordFeedback(planned);
+    if (collect_operator_stats_) {
+      result.profile = FlattenPlanProfile(planned.node.get());
     }
     result.affected_rows = static_cast<int64_t>(table->num_rows());
     return result;
@@ -219,51 +227,78 @@ Result<QueryResult> SqlEngine::ExecuteInsert(InsertStmt* stmt) {
     }
   }
 
-  std::vector<Row> incoming;
+  // Rows stream into the table one at a time. With the identity column
+  // mapping each row is appended as it comes; otherwise it is spread over a
+  // NULL-filled row of the table's width.
+  bool identity = positions.size() == schema.num_columns();
+  for (size_t i = 0; identity && i < positions.size(); ++i) {
+    identity = positions[i] == i;
+  }
+  int64_t inserted = 0;
+  auto append = [&](Row* in) -> Status {
+    if (identity) {
+      MR_RETURN_IF_ERROR(table->Append(std::move(*in)));
+    } else {
+      Row full(schema.num_columns(), Value::Null());
+      for (size_t i = 0; i < positions.size(); ++i) {
+        full[positions[i]] = std::move((*in)[i]);
+      }
+      MR_RETURN_IF_ERROR(table->Append(std::move(full)));
+    }
+    ++inserted;
+    return Status::OK();
+  };
+
   std::vector<OperatorProfile> profile;
-  if (stmt->select != nullptr) {
-    ExecContext ctx = MakeContext();
-    Planner planner(catalog_, &ctx);
-    MR_ASSIGN_OR_RETURN(PlannedSelect planned, planner.Plan(stmt->select.get()));
-    if (planned.out_schema.num_columns() != positions.size()) {
-      return Status::SemanticError(
-          "INSERT column count mismatch: query produces " +
-          std::to_string(planned.out_schema.num_columns()) +
-          " columns, target expects " + std::to_string(positions.size()));
+  auto insert_rows = [&]() -> Status {
+    if (stmt->select != nullptr) {
+      ExecContext ctx = MakeContext();
+      Planner planner(catalog_, &ctx);
+      MR_ASSIGN_OR_RETURN(PlannedSelect planned,
+                          planner.Plan(stmt->select.get()));
+      if (planned.out_schema.num_columns() != positions.size()) {
+        return Status::SemanticError(
+            "INSERT column count mismatch: query produces " +
+            std::to_string(planned.out_schema.num_columns()) +
+            " columns, target expects " + std::to_string(positions.size()));
+      }
+      // A plan that scans the target snapshots its row count at Open, so
+      // the rows appended here are never read back by the same statement.
+      MR_RETURN_IF_ERROR(planned.node->Open());
+      MR_RETURN_IF_ERROR(
+          DrainOpenedNode(planned.node.get(), num_threads_, append));
+      RecordFeedback(planned);
+      if (collect_operator_stats_) {
+        profile = FlattenPlanProfile(planned.node.get());
+      }
+      return Status::OK();
     }
-    MR_ASSIGN_OR_RETURN(incoming,
-                        CollectRowsParallel(planned.node.get(), num_threads_));
-    RecordFeedback(planned);
-    if (collect_operator_stats_) {
-      profile = FlattenPlanProfile(planned.node.get());
-    }
-  } else {
     ExecContext ctx{catalog_, &host_vars_};
+    const Row empty;
     for (const std::vector<ExprPtr>& value_row : stmt->values_rows) {
       if (value_row.size() != positions.size()) {
         return Status::SemanticError("INSERT VALUES arity mismatch");
       }
       Row row;
       row.reserve(value_row.size());
-      const Row empty;
       for (const ExprPtr& e : value_row) {
         // VALUES expressions are constant: bind against an empty scope.
         MR_RETURN_IF_ERROR(BindExpr(e.get(), BindScope{}, false));
         MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, empty, &ctx));
         row.push_back(std::move(v));
       }
-      incoming.push_back(std::move(row));
+      MR_RETURN_IF_ERROR(append(&row));
     }
-  }
+    return Status::OK();
+  };
 
-  int64_t inserted = 0;
-  for (Row& in : incoming) {
-    Row full(schema.num_columns(), Value::Null());
-    for (size_t i = 0; i < positions.size(); ++i) {
-      full[positions[i]] = std::move(in[i]);
-    }
-    MR_RETURN_IF_ERROR(table->Append(std::move(full)));
-    ++inserted;
+  // A failure part-way through truncates the table back to its rows before
+  // the statement, so a failed INSERT has no effect.
+  const size_t rows_before = table->num_rows();
+  Status status = insert_rows();
+  if (!status.ok()) {
+    if (table->num_rows() > rows_before) table->Truncate(rows_before);
+    return status;
   }
   QueryResult result;
   result.affected_rows = inserted;

@@ -9,22 +9,31 @@ namespace minerule::sql {
 
 namespace {
 
-/// Coerces STRING literals to DATE when compared against a DATE value, so
-/// conditions like the paper's `date BETWEEN '1/1/95' AND '12/31/95'` work.
+/// True when comparing `a` with `b` needs the STRING side parsed as a DATE,
+/// so conditions like the paper's `date BETWEEN '1/1/95' AND '12/31/95'`
+/// work.
+bool NeedsDateCoercion(const Value& a, const Value& b) {
+  return (a.type() == DataType::kDate && b.type() == DataType::kString) ||
+         (a.type() == DataType::kString && b.type() == DataType::kDate);
+}
+
+/// Parses the STRING side of a DATE/STRING pair as a DATE.
 Status CoerceForComparison(Value* a, Value* b) {
-  if (a->type() == DataType::kDate && b->type() == DataType::kString) {
-    MR_ASSIGN_OR_RETURN(int32_t days, date::Parse(b->AsString()));
-    *b = Value::Date(days);
-  } else if (a->type() == DataType::kString && b->type() == DataType::kDate) {
-    MR_ASSIGN_OR_RETURN(int32_t days, date::Parse(a->AsString()));
-    *a = Value::Date(days);
-  }
+  Value* text = a->type() == DataType::kString ? a : b;
+  MR_ASSIGN_OR_RETURN(int32_t days, date::Parse(text->AsString()));
+  *text = Value::Date(days);
   return Status::OK();
 }
 
-Result<Value> CompareOp(BinaryOp op, Value lhs, Value rhs) {
+Result<Value> CompareOp(BinaryOp op, const Value& lhs, const Value& rhs) {
   if (lhs.is_null() || rhs.is_null()) return Value::Null();
-  MR_RETURN_IF_ERROR(CoerceForComparison(&lhs, &rhs));
+  if (NeedsDateCoercion(lhs, rhs)) {
+    // The only case that needs its own copies; both are DATEs afterwards.
+    Value a = lhs;
+    Value b = rhs;
+    MR_RETURN_IF_ERROR(CoerceForComparison(&a, &b));
+    return CompareOp(op, a, b);
+  }
   MR_ASSIGN_OR_RETURN(int cmp, lhs.SqlCompare(rhs));
   switch (op) {
     case BinaryOp::kEq:
@@ -179,6 +188,26 @@ Result<Value> EvalFunction(const FunctionExpr& f, const Row& row,
 
 }  // namespace
 
+Result<const Value*> EvalOperand(const Expr& expr, const Row& row,
+                                 ExecContext* ctx, Value* scratch) {
+  int index = -1;
+  if (expr.kind == ExprKind::kColumnRef) {
+    index = static_cast<const ColumnRefExpr&>(expr).bound_index;
+  } else if (expr.kind == ExprKind::kSlotRef) {
+    index = static_cast<const SlotRefExpr&>(expr).index;
+  }
+  if (index >= 0 && static_cast<size_t>(index) < row.size()) {
+    return &row[static_cast<size_t>(index)];
+  }
+  if (expr.kind == ExprKind::kLiteral) {
+    return &static_cast<const LiteralExpr&>(expr).value;
+  }
+  // Everything else, including out-of-range references (EvalExpr reports
+  // them), is evaluated into the caller's scratch value.
+  MR_ASSIGN_OR_RETURN(*scratch, EvalExpr(expr, row, ctx));
+  return static_cast<const Value*>(scratch);
+}
+
 Result<Value> EvalExpr(const Expr& expr, const Row& row, ExecContext* ctx) {
   switch (expr.kind) {
     case ExprKind::kLiteral:
@@ -265,9 +294,13 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row, ExecContext* ctx) {
         case BinaryOp::kLessEq:
         case BinaryOp::kGreater:
         case BinaryOp::kGreaterEq: {
-          MR_ASSIGN_OR_RETURN(Value lv, EvalExpr(*b.lhs, row, ctx));
-          MR_ASSIGN_OR_RETURN(Value rv, EvalExpr(*b.rhs, row, ctx));
-          return CompareOp(b.op, std::move(lv), std::move(rv));
+          Value lscratch;
+          Value rscratch;
+          MR_ASSIGN_OR_RETURN(const Value* lv,
+                              EvalOperand(*b.lhs, row, ctx, &lscratch));
+          MR_ASSIGN_OR_RETURN(const Value* rv,
+                              EvalOperand(*b.rhs, row, ctx, &rscratch));
+          return CompareOp(b.op, *lv, *rv);
         }
         case BinaryOp::kConcat: {
           MR_ASSIGN_OR_RETURN(Value lv, EvalExpr(*b.lhs, row, ctx));
@@ -284,11 +317,15 @@ Result<Value> EvalExpr(const Expr& expr, const Row& row, ExecContext* ctx) {
     }
     case ExprKind::kBetween: {
       const auto& b = static_cast<const BetweenExpr&>(expr);
-      MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*b.operand, row, ctx));
-      MR_ASSIGN_OR_RETURN(Value lo, EvalExpr(*b.low, row, ctx));
-      MR_ASSIGN_OR_RETURN(Value hi, EvalExpr(*b.high, row, ctx));
-      MR_ASSIGN_OR_RETURN(Value ge, CompareOp(BinaryOp::kGreaterEq, v, lo));
-      MR_ASSIGN_OR_RETURN(Value le, CompareOp(BinaryOp::kLessEq, v, hi));
+      Value scratch[3];
+      MR_ASSIGN_OR_RETURN(const Value* v,
+                          EvalOperand(*b.operand, row, ctx, &scratch[0]));
+      MR_ASSIGN_OR_RETURN(const Value* lo,
+                          EvalOperand(*b.low, row, ctx, &scratch[1]));
+      MR_ASSIGN_OR_RETURN(const Value* hi,
+                          EvalOperand(*b.high, row, ctx, &scratch[2]));
+      MR_ASSIGN_OR_RETURN(Value ge, CompareOp(BinaryOp::kGreaterEq, *v, *lo));
+      MR_ASSIGN_OR_RETURN(Value le, CompareOp(BinaryOp::kLessEq, *v, *hi));
       if (ge.is_null() || le.is_null()) return Value::Null();
       const bool in_range = ge.AsBoolean() && le.AsBoolean();
       return Value::Boolean(b.negated ? !in_range : in_range);

@@ -66,6 +66,14 @@ struct ExecContext {
 /// them to slot references before evaluation.
 Result<Value> EvalExpr(const Expr& expr, const Row& row, ExecContext* ctx);
 
+/// The value of `expr` over `row` without copying where possible: a
+/// pointer into `row` for an in-range column or slot reference, into the
+/// expression for a literal, and otherwise to *scratch, which receives the
+/// EvalExpr result. Errors are EvalExpr's. The pointer is valid while
+/// `row`, `expr` and *scratch are.
+Result<const Value*> EvalOperand(const Expr& expr, const Row& row,
+                                 ExecContext* ctx, Value* scratch);
+
 /// Evaluates a predicate: NULL and FALSE both reject the row (SQL WHERE
 /// semantics). Non-boolean results are a type error.
 Result<bool> EvalPredicate(const Expr& expr, const Row& row, ExecContext* ctx);

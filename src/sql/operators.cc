@@ -70,7 +70,7 @@ Status FirstError(const std::vector<Status>& statuses) {
 
 }  // namespace
 
-Status DrainOpenedNode(ExecNode* node, int num_threads, std::vector<Row>* out,
+Status DrainOpenedNode(ExecNode* node, int num_threads, const RowSink& sink,
                        MemoryAccountant* accountant) {
   if (num_threads != 1 && node->SupportsMorsels()) {
     const size_t total = node->MorselInputRows();
@@ -83,19 +83,16 @@ Status DrainOpenedNode(ExecNode* node, int num_threads, std::vector<Row>* out,
                        });
     MR_RETURN_IF_ERROR(FirstError(statuses));
     node->RecordParallelWorkers(MorselWorkers(total, num_threads));
-    size_t produced = 0;
-    for (const std::vector<Row>& slot : slots) produced += slot.size();
-    out->reserve(out->size() + produced);
+    // Every worker has finished before the first row reaches the sink, so
+    // a sink that appends to a table the plan scans never races a reader.
     for (std::vector<Row>& slot : slots) {
-      if (accountant != nullptr) {
-        // Account each morsel slot as it lands in the buffer (the
-        // accountant is not thread-safe, so per-slot here rather than
-        // inside the workers).
-        for (const Row& row : slot) {
-          accountant->AddBytes(EstimateRowBytes(row));
-        }
+      for (Row& row : slot) {
+        // Accounted as each morsel slot lands (the accountant is not
+        // thread-safe, so here rather than inside the workers).
+        if (accountant != nullptr) accountant->AddBytes(EstimateRowBytes(row));
+        MR_RETURN_IF_ERROR(sink(&row));
       }
-      for (Row& row : slot) out->push_back(std::move(row));
+      slot = std::vector<Row>();
     }
     return Status::OK();
   }
@@ -104,9 +101,20 @@ Status DrainOpenedNode(ExecNode* node, int num_threads, std::vector<Row>* out,
     MR_ASSIGN_OR_RETURN(bool more, node->Next(&row));
     if (!more) break;
     if (accountant != nullptr) accountant->AddBytes(EstimateRowBytes(row));
-    out->push_back(std::move(row));
+    MR_RETURN_IF_ERROR(sink(&row));
   }
   return Status::OK();
+}
+
+Status DrainOpenedNode(ExecNode* node, int num_threads, std::vector<Row>* out,
+                       MemoryAccountant* accountant) {
+  return DrainOpenedNode(
+      node, num_threads,
+      [out](Row* row) {
+        out->push_back(std::move(*row));
+        return Status::OK();
+      },
+      accountant);
 }
 
 namespace {
@@ -149,19 +157,37 @@ bool ExprsNextValFree(const std::vector<ExprPtr>& exprs) {
   return true;
 }
 
-}  // namespace
-
-Result<std::vector<Row>> CollectRows(ExecNode* node) {
-  MR_RETURN_IF_ERROR(node->Open());
-  std::vector<Row> rows;
-  Row row;
-  while (true) {
-    MR_ASSIGN_OR_RETURN(bool more, node->Next(&row));
-    if (!more) break;
-    rows.push_back(std::move(row));
+/// Evaluates `e` over `row` into *slot. Column, slot and literal operands
+/// are copy-assigned straight from where they live, which reuses the
+/// slot's storage; computed values are moved in.
+Status EvalInto(const Expr& e, const Row& row, ExecContext* ctx, Value* slot) {
+  Value scratch;
+  MR_ASSIGN_OR_RETURN(const Value* v, EvalOperand(e, row, ctx, &scratch));
+  if (v == &scratch) {
+    *slot = std::move(scratch);
+  } else {
+    *slot = *v;
   }
-  return rows;
+  return Status::OK();
 }
+
+/// Evaluates the aggregate arguments of one input row into their
+/// accumulators.
+Status AccumulateRow(const std::vector<AggSpec>& aggs, const Row& row,
+                     ExecContext* ctx, std::vector<AggAccumulator>* accs) {
+  const Value null;  // COUNT(*)'s placeholder argument
+  Value scratch;
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    const Value* arg = &null;
+    if (aggs[i].arg != nullptr) {
+      MR_ASSIGN_OR_RETURN(arg, EvalOperand(*aggs[i].arg, row, ctx, &scratch));
+    }
+    MR_RETURN_IF_ERROR((*accs)[i].Add(*arg));
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Result<std::vector<Row>> CollectRowsParallel(ExecNode* node, int num_threads) {
   MR_RETURN_IF_ERROR(node->Open());
@@ -366,14 +392,11 @@ std::string ProjectNode::detail() const { return JoinExprs(exprs_, ", "); }
 Status ProjectNode::OpenImpl() { return child_->Open(); }
 
 Result<bool> ProjectNode::NextImpl(Row* out) {
-  Row input;
-  MR_ASSIGN_OR_RETURN(bool more, child_->Next(&input));
+  MR_ASSIGN_OR_RETURN(bool more, child_->Next(&input_));
   if (!more) return false;
-  out->clear();
-  out->reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) {
-    MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, input, ctx_));
-    out->push_back(std::move(v));
+  out->resize(exprs_.size());
+  for (size_t i = 0; i < exprs_.size(); ++i) {
+    MR_RETURN_IF_ERROR(EvalInto(*exprs_[i], input_, ctx_, &(*out)[i]));
   }
   return true;
 }
@@ -384,13 +407,10 @@ Status ProjectNode::EvaluateMorselImpl(size_t begin, size_t end,
   MR_RETURN_IF_ERROR(child_->RunMorsel(begin, end, &input));
   out->reserve(out->size() + input.size());
   for (const Row& row : input) {
-    Row projected;
-    projected.reserve(exprs_.size());
-    for (const ExprPtr& e : exprs_) {
-      MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row, ctx_));
-      projected.push_back(std::move(v));
+    Row& projected = out->emplace_back(exprs_.size());
+    for (size_t i = 0; i < exprs_.size(); ++i) {
+      MR_RETURN_IF_ERROR(EvalInto(*exprs_[i], row, ctx_, &projected[i]));
     }
-    out->push_back(std::move(projected));
   }
   return Status::OK();
 }
@@ -405,14 +425,6 @@ Schema ConcatSchemas(const Schema& a, const Schema& b) {
   Schema out;
   for (const Column& c : a.columns()) out.AddColumn(c);
   for (const Column& c : b.columns()) out.AddColumn(c);
-  return out;
-}
-
-Row ConcatRows(const Row& a, const Row& b) {
-  Row out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
   return out;
 }
 
@@ -456,13 +468,11 @@ Result<bool> NestedLoopJoinNode::NextImpl(Row* out) {
       right_pos_ = 0;
     }
     while (right_pos_ < right_rows_.size()) {
-      Row joined = ConcatRows(current_left_, right_rows_[right_pos_++]);
+      ConcatInto(current_left_, right_rows_[right_pos_++], out);
       if (predicate_ != nullptr) {
-        MR_ASSIGN_OR_RETURN(bool pass,
-                            EvalPredicate(*predicate_, joined, ctx_));
+        MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate_, *out, ctx_));
         if (!pass) continue;
       }
-      *out = std::move(joined);
       return true;
     }
     have_left_ = false;
@@ -540,23 +550,11 @@ Result<bool> HashJoinNode::EncodeKey(const std::vector<ExprPtr>& exprs,
   key->clear();
   for (const ExprPtr& e : exprs) {
     // Column and slot references are encoded in place, without copying the
-    // value out of the row; out-of-range indexes fall through to EvalExpr,
-    // which reports them.
-    int index = -1;
-    if (e->kind == ExprKind::kColumnRef) {
-      index = static_cast<const ColumnRefExpr&>(*e).bound_index;
-    } else if (e->kind == ExprKind::kSlotRef) {
-      index = static_cast<const SlotRefExpr&>(*e).index;
-    }
-    if (index >= 0 && static_cast<size_t>(index) < row.size()) {
-      const Value& v = row[static_cast<size_t>(index)];
-      if (v.is_null()) return false;  // NULL keys never join
-      EncodeKeyValue(v, key);
-      continue;
-    }
-    MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row, ctx_));
-    if (v.is_null()) return false;
-    EncodeKeyValue(v, key);
+    // value out of the row.
+    Value scratch;
+    MR_ASSIGN_OR_RETURN(const Value* v, EvalOperand(*e, row, ctx_, &scratch));
+    if (v->is_null()) return false;  // NULL keys never join
+    EncodeKeyValue(*v, key);
   }
   return true;
 }
@@ -796,12 +794,12 @@ Status HashJoinNode::OpenSwapped(int num_threads) {
   }
   MR_RETURN_IF_ERROR(
       DrainOpenedNode(right_.get(), num_threads, &swap_probe_rows_));
-  std::vector<std::vector<size_t>> groups(swap_build_rows_.size());
   const size_t total = swap_probe_rows_.size();
   auto probe_range = [&](size_t begin, size_t end,
                          std::vector<std::pair<size_t, size_t>>* out)
       -> Status {
     std::string key;  // per call: morsels probe concurrently
+    Row joined;
     for (size_t i = begin; i < end; ++i) {
       MR_ASSIGN_OR_RETURN(bool valid,
                           EncodeKey(right_keys_, swap_probe_rows_[i], &key));
@@ -813,7 +811,7 @@ Status HashJoinNode::OpenSwapped(int num_threads) {
           // Residuals are evaluated while buffering (the pair list must be
           // final before morsel consumers index it); the transient joined
           // row is the price of a residual on a swapped join.
-          Row joined = ConcatRows(swap_build_rows_[l], swap_probe_rows_[i]);
+          ConcatInto(swap_build_rows_[l], swap_probe_rows_[i], &joined);
           MR_ASSIGN_OR_RETURN(bool pass,
                               EvalPredicate(*residual_, joined, ctx_));
           if (!pass) continue;
@@ -823,12 +821,13 @@ Status HashJoinNode::OpenSwapped(int num_threads) {
     }
     return Status::OK();
   };
+  // Matches in probe order: one slot on the serial path, one per morsel
+  // (fixed boundaries, concatenated in morsel order) on the parallel one —
+  // the same sequence at any thread count.
+  std::vector<std::vector<std::pair<size_t, size_t>>> slots;
   if (num_threads != 1) {
-    // Morsel-parallel probe: fixed boundaries, per-morsel pair lists folded
-    // into the groups in morsel order — bit-identical to the serial stream
-    // at any thread count.
     const size_t morsels = MorselCount(total, kMorselRows);
-    std::vector<std::vector<std::pair<size_t, size_t>>> slots(morsels);
+    slots.resize(morsels);
     std::vector<Status> statuses(morsels, Status::OK());
     ParallelForMorsels(total, kMorselRows, num_threads,
                        [&](size_t m, size_t begin, size_t end) {
@@ -837,27 +836,28 @@ Status HashJoinNode::OpenSwapped(int num_threads) {
     MR_RETURN_IF_ERROR(FirstError(statuses));
     NoteWorkers(MorselWorkers(total, num_threads));
     NoteDrivenMorsels(static_cast<int64_t>(morsels));
-    for (const std::vector<std::pair<size_t, size_t>>& slot : slots) {
-      for (const auto& [l, i] : slot) groups[l].push_back(i);
-    }
   } else {
-    std::vector<std::pair<size_t, size_t>> pairs;
-    MR_RETURN_IF_ERROR(probe_range(0, total, &pairs));
-    for (const auto& [l, i] : pairs) groups[l].push_back(i);
+    slots.resize(1);
+    MR_RETURN_IF_ERROR(probe_range(0, total, &slots[0]));
   }
 
-  size_t total_out = 0;
-  for (const std::vector<size_t>& group : groups) total_out += group.size();
-  swap_pairs_.reserve(total_out);
-  for (size_t l = 0; l < groups.size(); ++l) {
-    for (size_t i : groups[l]) swap_pairs_.emplace_back(l, i);
+  // Stable counting sort by left index: within one left row the matches
+  // keep probe order, so the result is the canonical left-major order.
+  std::vector<size_t> next(swap_build_rows_.size() + 1, 0);
+  for (const auto& slot : slots) {
+    for (const auto& match : slot) ++next[match.first + 1];
+  }
+  for (size_t l = 1; l < next.size(); ++l) next[l] += next[l - 1];
+  swap_pairs_.resize(next.back());
+  for (const auto& slot : slots) {
+    for (const auto& match : slot) swap_pairs_[next[match.first]++] = match;
   }
   return Status::OK();
 }
 
-Row HashJoinNode::SwappedRow(size_t i) const {
+void HashJoinNode::SwappedRow(size_t i, Row* out) const {
   const auto& [l, r] = swap_pairs_[i];
-  return ConcatRows(swap_build_rows_[l], swap_probe_rows_[r]);
+  ConcatInto(swap_build_rows_[l], swap_probe_rows_[r], out);
 }
 
 Result<bool> HashJoinNode::PullLeft(Row* out) {
@@ -873,20 +873,17 @@ Result<bool> HashJoinNode::PullLeft(Row* out) {
 Result<bool> HashJoinNode::NextImpl(Row* out) {
   if (swap_ready_) {
     if (swap_pos_ >= swap_pairs_.size()) return false;
-    *out = SwappedRow(swap_pos_++);
+    SwappedRow(swap_pos_++, out);
     return true;
   }
   if (spill_ != nullptr) return NextSpill(out);
   while (true) {
     while (bucket_pos_ != bucket_end_) {
-      Row joined =
-          ConcatRows(current_left_, build_side_rows_[*bucket_pos_++]);
+      ConcatInto(current_left_, build_side_rows_[*bucket_pos_++], out);
       if (residual_ != nullptr) {
-        MR_ASSIGN_OR_RETURN(bool pass,
-                            EvalPredicate(*residual_, joined, ctx_));
+        MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, *out, ctx_));
         if (!pass) continue;
       }
-      *out = std::move(joined);
       return true;
     }
     MR_ASSIGN_OR_RETURN(bool more, PullLeft(&current_left_));
@@ -904,12 +901,12 @@ Status HashJoinNode::ProbeRow(const Row& left_row, std::string* key,
   if (!valid) return Status::OK();
   const auto [first, last] = FindBucket(*key);
   for (const uint32_t* it = first; it != last; ++it) {
-    Row joined = ConcatRows(left_row, build_side_rows_[*it]);
+    Row& joined = out->emplace_back();
+    ConcatInto(left_row, build_side_rows_[*it], &joined);
     if (residual_ != nullptr) {
       MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual_, joined, ctx_));
-      if (!pass) continue;
+      if (!pass) out->pop_back();
     }
-    out->push_back(std::move(joined));
   }
   return Status::OK();
 }
@@ -918,7 +915,7 @@ Status HashJoinNode::EvaluateMorselImpl(size_t begin, size_t end,
                                         std::vector<Row>* out) {
   if (swap_ready_) {
     out->reserve(out->size() + (end - begin));
-    for (size_t i = begin; i < end; ++i) out->push_back(SwappedRow(i));
+    for (size_t i = begin; i < end; ++i) SwappedRow(i, &out->emplace_back());
     return Status::OK();
   }
   std::string key;  // per morsel: morsels probe concurrently
@@ -994,10 +991,9 @@ Status HashAggregateNode::AggregateSerial(GroupTable* groups,
   while (true) {
     MR_ASSIGN_OR_RETURN(bool more, child_->Next(&row));
     if (!more) break;
-    key.clear();
-    for (const ExprPtr& e : group_exprs_) {
-      MR_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row, ctx_));
-      key.push_back(std::move(v));
+    key.resize(group_exprs_.size());
+    for (size_t i = 0; i < group_exprs_.size(); ++i) {
+      MR_RETURN_IF_ERROR(EvalInto(*group_exprs_[i], row, ctx_, &key[i]));
     }
     const auto [group, inserted] = AddGroup(groups, key);
     // Account the table as it grows, not just once it is complete: a query
@@ -1007,14 +1003,8 @@ Status HashAggregateNode::AggregateSerial(GroupTable* groups,
           EstimateRowBytes(key) +
           static_cast<int64_t>(aggs_.size() * sizeof(AggAccumulator)));
     }
-    std::vector<AggAccumulator>& accs = groups->states[group];
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      Value arg;  // NULL placeholder for COUNT(*)
-      if (aggs_[i].arg != nullptr) {
-        MR_ASSIGN_OR_RETURN(arg, EvalExpr(*aggs_[i].arg, row, ctx_));
-      }
-      MR_RETURN_IF_ERROR(accs[i].Add(arg));
-    }
+    MR_RETURN_IF_ERROR(
+        AccumulateRow(aggs_, row, ctx_, &groups->states[group]));
   }
   return Status::OK();
 }
@@ -1036,34 +1026,20 @@ Status HashAggregateNode::AggregateParallel(int num_threads,
           statuses[m] = status;
           return;
         }
-        Row key;
+        Row key(group_exprs_.size());
         for (const Row& row : input) {
-          key.clear();
-          for (const ExprPtr& e : group_exprs_) {
-            Result<Value> v = EvalExpr(*e, row, ctx_);
-            if (!v.ok()) {
-              statuses[m] = v.status();
+          for (size_t i = 0; i < group_exprs_.size(); ++i) {
+            status = EvalInto(*group_exprs_[i], row, ctx_, &key[i]);
+            if (!status.ok()) {
+              statuses[m] = status;
               return;
             }
-            key.push_back(std::move(*v));
           }
-          std::vector<AggAccumulator>& accs =
-              local.states[AddGroup(&local, key).first];
-          for (size_t i = 0; i < aggs_.size(); ++i) {
-            Value arg;  // NULL placeholder for COUNT(*)
-            if (aggs_[i].arg != nullptr) {
-              Result<Value> v = EvalExpr(*aggs_[i].arg, row, ctx_);
-              if (!v.ok()) {
-                statuses[m] = v.status();
-                return;
-              }
-              arg = std::move(*v);
-            }
-            Status add = accs[i].Add(arg);
-            if (!add.ok()) {
-              statuses[m] = add;
-              return;
-            }
+          status = AccumulateRow(aggs_, row, ctx_,
+                                 &local.states[AddGroup(&local, key).first]);
+          if (!status.ok()) {
+            statuses[m] = status;
+            return;
           }
         }
       });

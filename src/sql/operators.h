@@ -2,6 +2,7 @@
 #define MINERULE_SQL_OPERATORS_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -80,6 +81,10 @@ class ExecNode {
   }
 
   /// Produces the next row into *out; returns false at end of stream.
+  /// Ownership contract (DESIGN.md §18): the caller owns *out and may pass
+  /// the same row to every call. An operator overwrites it, reusing its
+  /// storage, and never keeps a pointer into it across calls. After false
+  /// or an error its contents are unspecified.
   Result<bool> Next(Row* out) {
     if (!timing_) {
       Result<bool> more = NextImpl(out);
@@ -247,18 +252,22 @@ int64_t SampledRowsBytes(const std::vector<Row>& rows);
 /// so memory spikes survive into mr_metrics.
 int64_t AccountBufferBytes(const char* gauge, const std::vector<Row>& rows);
 
-/// Drains an already-opened node into *out. When the node supports morsels
-/// and num_threads != 1, workers claim fixed-size morsels and the per-morsel
-/// outputs are concatenated in morsel order — bit-identical to the serial
-/// drain. Appends to *out. When `accountant` is given, the drained rows are
-/// accounted while the buffer grows (per row on the serial path, per morsel
-/// slot during the parallel concatenation) so the peak gauge reflects the
-/// buffer before it is complete.
-Status DrainOpenedNode(ExecNode* node, int num_threads, std::vector<Row>* out,
+/// Receives drained rows one at a time, in output order; may move from
+/// *row. A non-OK status stops the drain and is returned by it.
+using RowSink = std::function<Status(Row* row)>;
+
+/// Drains an already-opened node into `sink`. When the node supports
+/// morsels and num_threads != 1, workers claim fixed-size morsels and the
+/// per-morsel outputs reach the sink in morsel order, after every worker
+/// has finished — bit-identical to the serial drain. When `accountant` is
+/// given, each row is accounted as it reaches the sink, so the peak gauge
+/// reflects a buffering sink before it is complete.
+Status DrainOpenedNode(ExecNode* node, int num_threads, const RowSink& sink,
                        MemoryAccountant* accountant = nullptr);
 
-/// Drains a plan into a vector of rows.
-Result<std::vector<Row>> CollectRows(ExecNode* node);
+/// DrainOpenedNode with a sink that appends to *out.
+Status DrainOpenedNode(ExecNode* node, int num_threads, std::vector<Row>* out,
+                       MemoryAccountant* accountant = nullptr);
 
 /// Drains a plan into a vector of rows, claiming fixed-size morsels with up
 /// to `num_threads` workers when the (opened) root supports morsels, and
@@ -413,6 +422,7 @@ class ProjectNode : public ExecNode {
   std::vector<ExprPtr> exprs_;
   ExecContext* ctx_;
   bool pure_ = false;  // all projections free of NEXTVAL
+  Row input_;          // the child's current row, reused across calls
 };
 
 /// Appends the 0-based source row index as a trailing INTEGER column
@@ -575,8 +585,8 @@ class HashJoinNode : public ExecNode {
   /// morsel source over swap_pairs_.
   Status OpenSwapped(int num_threads);
 
-  /// The i-th output row of the swapped join, built on demand.
-  Row SwappedRow(size_t i) const;
+  /// Builds the i-th output row of the swapped join into *out.
+  void SwappedRow(size_t i, Row* out) const;
 
   ExecNodePtr left_;
   ExecNodePtr right_;

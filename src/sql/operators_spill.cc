@@ -66,14 +66,6 @@ size_t SpillFanOut(const ExecContext* ctx) {
   return ctx->spill_partitions == 0 ? kSpillPartitions : ctx->spill_partitions;
 }
 
-Row SpillConcatRows(const Row& a, const Row& b) {
-  Row out;
-  out.reserve(a.size() + b.size());
-  out.insert(out.end(), a.begin(), a.end());
-  out.insert(out.end(), b.begin(), b.end());
-  return out;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -345,6 +337,7 @@ struct GraceJoin {
     std::string record;
     std::string out_record;
     Row row;
+    Row joined;
     uint64_t index = 0;
     while (true) {
       MR_ASSIGN_OR_RETURN(bool more, reader.Next(&record));
@@ -360,7 +353,7 @@ struct GraceJoin {
       EncodeKeyRow(key, &encoded);
       const auto [first, last] = table.Find(encoded);
       for (const uint32_t* it = first; it != last; ++it) {
-        Row joined = SpillConcatRows(row, build_rows[*it]);
+        ConcatInto(row, build_rows[*it], &joined);
         if (residual != nullptr) {
           MR_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*residual, joined, ctx));
           if (!pass) continue;

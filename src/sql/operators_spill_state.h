@@ -2,12 +2,14 @@
 #define MINERULE_SQL_OPERATORS_SPILL_STATE_H_
 
 // Definitions of the spill-state structs owned by the buffering operators
-// (DESIGN.md §13), and of the aggregate's group table, which the in-memory
-// and the budgeted paths share. operators.cc needs the complete types to
-// construct and reset the owning unique_ptrs; operators_spill.cc implements
-// the budgeted paths that fill them. Internal to the sql library — not part
-// of its API.
+// (DESIGN.md §13), of the aggregate's group table, which the in-memory and
+// the budgeted paths share, and of the joined-row builder both join paths
+// use. operators.cc needs the complete types to construct and reset the
+// owning unique_ptrs; operators_spill.cc implements the budgeted paths that
+// fill them. Internal to the sql library — not part of its API.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -18,6 +20,16 @@
 #include "storage/spill.h"
 
 namespace minerule::sql {
+
+/// Overwrites *out with `a` followed by `b` (a joined row). Element-wise
+/// assignment into the caller's row reuses its storage, string buffers
+/// included, instead of building a fresh row per joined pair.
+inline void ConcatInto(const Row& a, const Row& b, Row* out) {
+  out->resize(a.size() + b.size());
+  std::copy(a.begin(), a.end(), out->begin());
+  std::copy(b.begin(), b.end(),
+            out->begin() + static_cast<std::ptrdiff_t>(a.size()));
+}
 
 /// External-merge-sort state: one spill file holding sorted runs, plus the
 /// open run readers of the final merge.

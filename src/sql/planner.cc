@@ -468,6 +468,30 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhere(
   MR_RETURN_IF_ERROR(apply_ready_filters());
 
   for (size_t i = 1; i < nodes.size(); ++i) {
+    // Filter table i's input before joining it: every conjunct that binds
+    // in its scope alone goes onto it (DESIGN.md §18). Rows it drops could
+    // only have been rejected after the join, and a filter keeps its
+    // input's order, so the join output is unchanged. NEXTVAL stays where
+    // it was (pushing it changes which rows advance the sequence). A
+    // conjunct that also binds on the left side belongs there, so an
+    // unqualified column both sides carry keeps its left-side binding.
+    std::vector<ExprPtr> local;
+    for (size_t c = 0; c < conjuncts.size(); ++c) {
+      if (applied[c] || ContainsNextVal(*conjuncts[c]) ||
+          ContainsAggregate(*conjuncts[c]) ||
+          !ExprBindableIn(*conjuncts[c], scopes[i]) ||
+          ExprBindableIn(*conjuncts[c], scope)) {
+        continue;
+      }
+      MR_RETURN_IF_ERROR(BindExpr(conjuncts[c].get(), scopes[i], false));
+      local.push_back(std::move(conjuncts[c]));
+      applied[c] = true;
+    }
+    if (ExprPtr pred = AndTogether(std::move(local))) {
+      nodes[i] = std::make_unique<FilterNode>(std::move(nodes[i]),
+                                              std::move(pred), ctx_);
+    }
+
     // Harvest equi-join keys between the accumulated left side and table i.
     std::vector<ExprPtr> left_keys;
     std::vector<ExprPtr> right_keys;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "relational/date.h"
 #include "sql/binder.h"
 #include "sql/parser.h"
 
@@ -95,6 +96,43 @@ TEST(ExprEvalTest, DateStringCoercionInComparisons) {
   EXPECT_TRUE(Eval("'12/17/95' = DATE '1995-12-17'").AsBoolean());
   EXPECT_TRUE(
       Eval("DATE '1995-06-15' BETWEEN '1/1/95' AND '12/31/95'").AsBoolean());
+}
+
+// Column operands of comparisons are read from the row in place: results,
+// the DATE/STRING coercion in both directions, NULLs and errors match the
+// literal forms, and the row is left untouched.
+TEST(ExprEvalTest, ComparisonsOverColumns) {
+  BindScope scope;
+  scope.Add("t", "d", DataType::kDate);
+  scope.Add("t", "s", DataType::kString);
+  scope.Add("t", "n", DataType::kInteger);
+  Result<int32_t> day = date::Parse("12/17/95");
+  ASSERT_TRUE(day.ok());
+  Row row = {Value::Date(*day), Value::String("12/18/95"), Value::Null()};
+  auto eval = [&](const std::string& text) -> Result<Value> {
+    Parser parser(text);
+    auto expr = parser.ParseStandaloneExpression();
+    EXPECT_TRUE(expr.ok()) << text << " -> " << expr.status();
+    if (!expr.ok()) return expr.status();
+    MR_RETURN_IF_ERROR(BindExpr(expr.value().get(), scope, false));
+    return EvalExpr(*expr.value(), row, nullptr);
+  };
+  EXPECT_TRUE(eval("d < s")->AsBoolean());
+  EXPECT_TRUE(eval("s > d")->AsBoolean());
+  EXPECT_FALSE(eval("d = s")->AsBoolean());
+  EXPECT_TRUE(eval("d BETWEEN '1/1/95' AND s")->AsBoolean());
+  EXPECT_TRUE(eval("s = '12/18/95'")->AsBoolean());
+  EXPECT_TRUE(eval("n = 1")->is_null());
+  EXPECT_TRUE(eval("n BETWEEN 0 AND 5")->is_null());
+  EXPECT_EQ(row[1].AsString(), "12/18/95");
+  EXPECT_EQ(row[0].AsDate(), *day);
+
+  row[1] = Value::String("not a date");
+  Result<Value> bad = eval("d < s");
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().ToString(),
+            EvalError("DATE '1995-12-17' < 'not a date'").ToString());
+  EXPECT_EQ(eval("s < 1").status().code(), StatusCode::kTypeError);
 }
 
 TEST(ExprEvalTest, ConcatCoercesToString) {

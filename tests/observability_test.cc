@@ -57,9 +57,9 @@ TEST_F(ObservabilityTest, ExplainGoldenPlan) {
             "Limit (2)\n"
             "  -> Sort (b)\n"
             "    -> Project (t.b, s.c)\n"
-            "      -> Filter ((s.c > 1))\n"
-            "        -> HashJoin (t.a = s.a)\n"
-            "          -> TableScan (t)\n"
+            "      -> HashJoin (t.a = s.a)\n"
+            "        -> TableScan (t)\n"
+            "        -> Filter ((s.c > 1))\n"
             "          -> TableScan (s)\n");
   EXPECT_EQ(Plan("EXPLAIN SELECT a, COUNT(*) FROM t GROUP BY a "
                  "HAVING COUNT(*) > 0"),
@@ -67,6 +67,44 @@ TEST_F(ObservabilityTest, ExplainGoldenPlan) {
             "  -> Filter ((COUNT(*) > 0))\n"
             "    -> HashAggregate (keys=1 aggs=1 by a)\n"
             "      -> TableScan (t)\n");
+}
+
+// A conjunct over the right input alone filters that input below the join
+// (DESIGN.md §18) — here above a renaming view, the shape of the
+// elementary-rule query's `MiningSourceH_View AS S2 ... S2.price < 100`.
+TEST_F(ObservabilityTest, ExplainFiltersRightInputBelowJoin) {
+  SetUpSmallTables();
+  MustSql("CREATE VIEW s_view AS (SELECT a AS k, c AS price FROM s)");
+  EXPECT_EQ(Plan("EXPLAIN SELECT t.b, v.price FROM t, s_view AS v "
+                 "WHERE t.a = v.k AND v.price < 2"),
+            "Project (t.b, v.price)\n"
+            "  -> HashJoin (t.a = v.k)\n"
+            "    -> TableScan (t)\n"
+            "    -> Filter ((v.price < 2))\n"
+            "      -> Project (a, c)\n"
+            "        -> TableScan (s)\n");
+}
+
+// What stays off the right input: a NEXTVAL conjunct (it advances its
+// sequence once per evaluated row, so it keeps running on joined rows),
+// and an unqualified column both inputs carry, which keeps its binding to
+// the left input.
+TEST_F(ObservabilityTest, ExplainKeepsNextValAndSharedColumnOffRightInput) {
+  SetUpSmallTables();
+  MustSql("CREATE SEQUENCE q START WITH 1");
+  EXPECT_EQ(Plan("EXPLAIN SELECT t.b FROM t, s WHERE t.a = s.a AND "
+                 "s.a < q.NEXTVAL"),
+            "Project (t.b)\n"
+            "  -> Filter ((s.a < q.NEXTVAL))\n"
+            "    -> HashJoin (t.a = s.a)\n"
+            "      -> TableScan (t)\n"
+            "      -> TableScan (s)\n");
+  EXPECT_EQ(Plan("EXPLAIN SELECT t.b FROM t, s WHERE t.a = s.a AND a > 1"),
+            "Project (t.b)\n"
+            "  -> HashJoin (t.a = s.a)\n"
+            "    -> Filter ((a > 1))\n"
+            "      -> TableScan (t)\n"
+            "    -> TableScan (s)\n");
 }
 
 TEST_F(ObservabilityTest, ExplainAnalyzeReportsRowsAndTime) {

@@ -126,6 +126,43 @@ TEST(TableTest, AppendChecksArityAndTypes) {
   EXPECT_EQ(table.num_rows(), 2u);
 }
 
+// The error texts are part of the INSERT surface; pinned byte for byte.
+TEST(TableTest, AppendErrorMessages) {
+  Table table("t", Schema({{"a", DataType::kInteger},
+                           {"b", DataType::kString}}));
+  Status arity = table.Append({Value::Integer(1)});
+  EXPECT_EQ(arity.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(arity.message(),
+            "row arity 1 does not match table 't' with 2 columns");
+  Status type = table.Append({Value::String("no"), Value::String("x")});
+  EXPECT_EQ(type.code(), StatusCode::kTypeError);
+  EXPECT_EQ(type.message(),
+            "value of type STRING does not fit column 'a' (INTEGER)");
+  Status fraction = table.Append({Value::Double(2.5), Value::String("x")});
+  EXPECT_EQ(fraction.message(),
+            "value of type DOUBLE does not fit column 'a' (INTEGER)");
+  EXPECT_EQ(table.num_rows(), 0u);
+  // An integral DOUBLE is coerced into the INTEGER column.
+  ASSERT_TRUE(table.Append({Value::Double(4.0), Value::String("x")}).ok());
+  EXPECT_EQ(table.row(0)[0].type(), DataType::kInteger);
+  EXPECT_EQ(table.row(0)[0].AsInteger(), 4);
+}
+
+// Truncate (a failed INSERT's rollback) is a non-append mutation: both the
+// version and the shape version move, so incremental consumers rescan.
+TEST(TableTest, TruncateBumpsVersionAndShapeVersion) {
+  Table table("t", Schema({{"a", DataType::kInteger}}));
+  for (int64_t i = 0; i < 3; ++i) table.AppendUnchecked({Value::Integer(i)});
+  const uint64_t version = table.version();
+  const uint64_t shape = table.shape_version();
+  table.Truncate(1);
+  ASSERT_EQ(table.num_rows(), 1u);
+  EXPECT_EQ(table.row(0)[0].AsInteger(), 0);
+  EXPECT_GT(table.version(), version);
+  EXPECT_GT(table.shape_version(), shape);
+  EXPECT_EQ(table.shape_version(), table.version());
+}
+
 TEST(TableTest, IntegerIntoDoubleColumnWidens) {
   Table table("t", Schema({{"a", DataType::kDouble}}));
   ASSERT_TRUE(table.Append({Value::Integer(3)}).ok());

@@ -237,6 +237,128 @@ TEST_F(SqlEngineTest, InsertIntoSelfSelectTerminates) {
   EXPECT_EQ(r.rows[0][0].AsInteger(), 4);
 }
 
+// INSERT ... SELECT streams into its target while the plan may still be
+// scanning it. Every scan of the target snapshots its row count at Open,
+// so a self-insert appends exactly the rows the table held before the
+// statement, whichever side of a join the target is on.
+TEST_F(SqlEngineTest, InsertIntoSelfAppendsPreStatementRows) {
+  MustExecute("CREATE TABLE t (a INTEGER, b VARCHAR)");
+  MustExecute("CREATE TABLE keys (a INTEGER)");
+  MustExecute("INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3, 'z')");
+  MustExecute("INSERT INTO keys VALUES (1), (3)");
+  EXPECT_EQ(MustExecute("INSERT INTO t SELECT * FROM t").affected_rows, 3);
+  // t as the probe side, then as the build side, of a hash join.
+  EXPECT_EQ(MustExecute("INSERT INTO t SELECT t.a, t.b FROM t, keys "
+                        "WHERE t.a = keys.a AND t.b <> 'y'")
+                .affected_rows,
+            4);
+  EXPECT_EQ(MustExecute("INSERT INTO t SELECT t.a + 10, t.b FROM keys, t "
+                        "WHERE keys.a = t.a")
+                .affected_rows,
+            8);
+  // ... and on both sides at once.
+  EXPECT_EQ(MustExecute("INSERT INTO t SELECT t1.a, t2.b FROM t AS t1, t AS "
+                        "t2 WHERE t1.a = t2.a AND t1.a > 10")
+                .affected_rows,
+            32);
+  QueryResult r = MustExecute(
+      "SELECT a, b, COUNT(*) FROM t GROUP BY a, b ORDER BY a, b");
+  std::vector<std::string> got;
+  for (const Row& row : r.rows) {
+    got.push_back(row[0].ToString() + row[1].AsString() + "x" +
+                  row[2].ToString());
+  }
+  EXPECT_EQ(got, (std::vector<std::string>{"1xx4", "2yx2", "3zx4", "11xx20",
+                                           "13zx20"}));
+
+  // A target much larger than a row buffer: the table's row storage
+  // reallocates while the scan is still reading it.
+  MustExecute("CREATE TABLE big (a INTEGER, b VARCHAR)");
+  for (int i = 0; i < 5; ++i) {
+    MustExecute("INSERT INTO big VALUES (" + std::to_string(i) + ", 'row" +
+                std::to_string(i) + "')");
+  }
+  for (int i = 0; i < 10; ++i) MustExecute("INSERT INTO big SELECT * FROM big");
+  auto big = catalog_.GetTable("big");
+  ASSERT_TRUE(big.ok());
+  ASSERT_EQ(big.value()->num_rows(), 5u << 10);
+  for (size_t i = 0; i < big.value()->num_rows(); ++i) {
+    ASSERT_EQ(big.value()->row(i)[0].AsInteger(), static_cast<int64_t>(i % 5));
+    ASSERT_EQ(big.value()->row(i)[1].AsString(), "row" + std::to_string(i % 5));
+  }
+}
+
+// A failure part-way through an INSERT ... SELECT leaves the target as it
+// was: the rows streamed in before the failing row are taken back.
+TEST_F(SqlEngineTest, FailedInsertSelectLeavesTargetUnchanged) {
+  MustExecute("CREATE TABLE src (a INTEGER, d DOUBLE)");
+  MustExecute(
+      "INSERT INTO src VALUES (5, 1.0), (2, 2.0), (0, 2.5), (1, 4.0)");
+  MustExecute("CREATE TABLE dst (x INTEGER, y INTEGER)");
+  MustExecute("INSERT INTO dst VALUES (7, 70)");
+  auto dst = catalog_.GetTable("dst");
+  ASSERT_TRUE(dst.ok());
+  const uint64_t version = dst.value()->version();
+  auto expect_unchanged = [&] {
+    ASSERT_EQ(dst.value()->num_rows(), 1u);
+    EXPECT_EQ(dst.value()->row(0)[0].AsInteger(), 7);
+    EXPECT_EQ(dst.value()->row(0)[1].AsInteger(), 70);
+  };
+
+  // Integer division by zero in the projection at the third row.
+  MustFail("INSERT INTO dst SELECT 10 / a, a FROM src",
+           StatusCode::kExecutionError);
+  expect_unchanged();
+  // The rolled-back rows did change the table for a moment.
+  EXPECT_GT(dst.value()->version(), version);
+  EXPECT_EQ(dst.value()->shape_version(), dst.value()->version());
+
+  // A type error on append at the third row (2.5 is no INTEGER), through
+  // the identity column mapping and through a reordered one.
+  MustFail("INSERT INTO dst SELECT a, d FROM src", StatusCode::kTypeError);
+  expect_unchanged();
+  MustFail("INSERT INTO dst (y, x) SELECT a, d FROM src",
+           StatusCode::kTypeError);
+  expect_unchanged();
+
+  // VALUES rows take the same path.
+  MustFail("INSERT INTO dst VALUES (1, 1), (2, 2), ('three', 3)",
+           StatusCode::kTypeError);
+  expect_unchanged();
+
+  // A statement that fails before producing a row leaves the version too.
+  const uint64_t before_plan_error = dst.value()->version();
+  MustFail("INSERT INTO dst SELECT a, missing FROM src",
+           StatusCode::kSemanticError);
+  expect_unchanged();
+  EXPECT_EQ(dst.value()->version(), before_plan_error);
+
+  QueryResult ok = MustExecute("INSERT INTO dst SELECT a, a FROM src");
+  EXPECT_EQ(ok.affected_rows, 4);
+}
+
+// CREATE TABLE ... AS SELECT streams into the new table; when its query
+// fails the table is dropped again, never left half filled.
+TEST_F(SqlEngineTest, FailedCreateTableAsSelectCreatesNoTable) {
+  MustExecute("CREATE TABLE src (a INTEGER)");
+  MustExecute("INSERT INTO src VALUES (5), (2), (0), (1)");
+  MustFail("CREATE TABLE bad AS SELECT 10 / a AS q FROM src",
+           StatusCode::kExecutionError);
+  EXPECT_FALSE(catalog_.HasTable("bad"));
+
+  // A value that does not fit the inferred column type fails on append.
+  auto mixed = catalog_.CreateTable("mixed", Schema({{"a", DataType::kInteger}}));
+  ASSERT_TRUE(mixed.ok());
+  mixed.value()->AppendUnchecked({Value::Integer(1)});
+  mixed.value()->AppendUnchecked({Value::Double(0.5)});
+  MustFail("CREATE TABLE bad AS SELECT a FROM mixed", StatusCode::kTypeError);
+  EXPECT_FALSE(catalog_.HasTable("bad"));
+
+  // The name is free again afterwards.
+  EXPECT_EQ(MustExecute("CREATE TABLE bad AS SELECT a FROM src").affected_rows,
+            4);
+}
+
 TEST_F(SqlEngineTest, DeleteWithWhere) {
   SetUpPurchase();
   QueryResult del = MustExecute("DELETE FROM Purchase WHERE price < 100");

@@ -206,6 +206,16 @@ TEST_P(SqlParallelDifferentialTest, QuerySweepBitIdentical) {
       "SELECT k, v FROM L WHERE v >= 0 LIMIT 37",
       // Subquery materialization.
       "SELECT v FROM (SELECT v FROM L WHERE k < 100) AS sub WHERE v < 900",
+      // Build-side filters: conjuncts over the right input alone run
+      // below the join (DESIGN.md §18), also above a renaming subquery and
+      // on the second join of a chain.
+      "SELECT L.k, L.v, R.w FROM L, R WHERE L.k = R.k AND R.w < 300",
+      "SELECT L.v, R.w FROM L, R WHERE L.k = R.k AND R.w > 100 AND "
+      "L.v < R.w",
+      "SELECT L.v, sub.w2 FROM L, (SELECT k AS k2, w AS w2 FROM R) AS sub "
+      "WHERE L.k = sub.k2 AND sub.w2 < 500 AND L.v > 200",
+      "SELECT L.v, E.w FROM L, E WHERE L.k = E.k AND E.w > 0",
+      "SELECT L.v, R.w FROM L, R WHERE L.k = R.k AND R.w > 2000",
   };
   for (const char* sql : queries) {
     ExpectIdenticalAcrossThreadCounts(sql);
@@ -261,6 +271,14 @@ TEST_P(SqlParallelDifferentialTest, TypedQuerySweepBitIdentical) {
       // Mixed-type INTEGER column as group key and as join key.
       "SELECT a, COUNT(*) FROM M GROUP BY a",
       "SELECT F.id, M.b FROM F, M WHERE F.k = M.a",
+      // Build-side filters over string, NULL-bearing and mixed columns,
+      // and a three-way chain filtering both build inputs.
+      "SELECT F.id, D.name FROM F, D WHERE F.k = D.k AND D.name >= 'd2'",
+      "SELECT F.id, M.b FROM F, M WHERE F.k = M.a AND M.a < 25.5",
+      "SELECT D.name, F.id, F.s FROM D, F WHERE D.k = F.k AND F.s = "
+      "'item_3' AND F.dt IS NOT NULL",
+      "SELECT F.id, D.name, M.b FROM F, D, M WHERE F.k = D.k AND D.k = M.a "
+      "AND D.name <> 'd7' AND M.b < 'm5'",
   };
   for (const char* sql : queries) {
     ExpectIdenticalAcrossThreadCounts(sql);
@@ -357,6 +375,108 @@ TEST_P(SqlParallelDifferentialTest, DmlThroughSelectMatches) {
       continue;
     }
     EXPECT_EQ(dump, baseline) << "DML diverged at " << threads << " threads";
+  }
+  engine_.set_num_threads(1);
+}
+
+TEST_P(SqlParallelDifferentialTest, BuildSideFilterMatchesPostJoinFilter) {
+  GenerateTables(GetParam());
+  // The same condition written once over the right input alone (filtered
+  // below the join) and once mixed with a never-NULL left column that
+  // cannot change its value (`+ 0 * L.v`), which the planner can only apply
+  // to joined rows. Both must give the same rows in the same order:
+  // the pushed filter keeps probe order and in-bucket build order.
+  const std::pair<const char*, const char*> pairs[] = {
+      {"SELECT L.k, L.v, R.w FROM L, R WHERE L.k = R.k AND R.w < 400",
+       "SELECT L.k, L.v, R.w FROM L, R WHERE L.k = R.k AND "
+       "R.w + 0 * L.v < 400"},
+      {"SELECT L.v, sub.w2 FROM L, (SELECT k AS k2, w AS w2 FROM R) AS sub "
+       "WHERE L.k = sub.k2 AND sub.w2 >= 250",
+       "SELECT L.v, sub.w2 FROM L, (SELECT k AS k2, w AS w2 FROM R) AS sub "
+       "WHERE L.k = sub.k2 AND sub.w2 + 0 * L.v >= 250"},
+      {"SELECT R.w, D.name FROM R, D WHERE R.w < D.k AND D.k < 50",
+       "SELECT R.w, D.name FROM R, D WHERE R.w < D.k AND "
+       "D.k + 0 * R.w < 50"},
+  };
+  for (const auto& [pushed, post_join] : pairs) {
+    for (int threads : kThreadCounts) {
+      engine_.set_num_threads(threads);
+      auto a = engine_.Execute(pushed);
+      auto b = engine_.Execute(post_join);
+      ASSERT_TRUE(a.ok()) << pushed << " -> " << a.status();
+      ASSERT_TRUE(b.ok()) << post_join << " -> " << b.status();
+      EXPECT_FALSE(a.value().rows.empty()) << pushed;
+      EXPECT_EQ(RenderRows(a.value().rows), RenderRows(b.value().rows))
+          << pushed << " at " << threads << " threads";
+    }
+  }
+  engine_.set_num_threads(1);
+}
+
+TEST_P(SqlParallelDifferentialTest, StreamedInsertsMatchAcrossThreadCounts) {
+  GenerateTables(GetParam());
+  // INSERT ... SELECT and CREATE TABLE AS stream into their targets. At
+  // every thread count (and, in CI, under a 1 KiB budget): a self-insert
+  // appends exactly the pre-statement rows with the target on the probe
+  // side, the build side or both sides of a join; a statement failing
+  // part-way leaves the target byte-identical; a failing CREATE TABLE AS
+  // leaves no table behind.
+  auto dump_table = [this](const std::string& name) {
+    auto table = catalog_.GetTable(name);
+    EXPECT_TRUE(table.ok()) << name;
+    std::string dump;
+    if (!table.ok()) return dump;
+    for (const std::string& line : RenderRows(table.value()->rows())) {
+      dump += line + "\n";
+    }
+    return dump;
+  };
+  std::string baseline;
+  for (int threads : kThreadCounts) {
+    engine_.set_num_threads(threads);
+    (void)engine_.Execute("DROP TABLE IF EXISTS S");
+    ASSERT_TRUE(
+        engine_.Execute("CREATE TABLE S AS SELECT k, v FROM L WHERE v < 600")
+            .ok());
+    const char* inserts[] = {
+        "INSERT INTO S SELECT * FROM S",
+        "INSERT INTO S SELECT S.k, S.v FROM S, R WHERE S.k = R.k AND "
+        "R.w < 100",
+        "INSERT INTO S SELECT R.k, S.v FROM R, S WHERE R.k = S.k AND "
+        "S.v > 590",
+        "INSERT INTO S SELECT a.k, b.v FROM S AS a, S AS b WHERE a.k = b.k "
+        "AND a.v = b.v AND a.v < 20",
+    };
+    for (const char* sql : inserts) {
+      const size_t before = catalog_.GetTable("S").value()->num_rows();
+      auto result = engine_.Execute(sql);
+      ASSERT_TRUE(result.ok()) << sql << " -> " << result.status();
+      EXPECT_EQ(catalog_.GetTable("S").value()->num_rows(),
+                before + static_cast<size_t>(result.value().affected_rows))
+          << sql;
+    }
+    const std::string dump = dump_table("S");
+    // Failing part-way: integer division by zero at the first k = 100,
+    // and the first fractional double that does not fit the INTEGER v.
+    auto div = engine_.Execute("INSERT INTO S SELECT k, 1000 / (k - 100) "
+                               "FROM L");
+    ASSERT_FALSE(div.ok());
+    EXPECT_EQ(div.status().code(), StatusCode::kExecutionError);
+    auto coerce = engine_.Execute(
+        "INSERT INTO S SELECT F.k, F.d FROM F WHERE F.d IS NOT NULL");
+    ASSERT_FALSE(coerce.ok());
+    EXPECT_EQ(coerce.status().code(), StatusCode::kTypeError);
+    EXPECT_EQ(dump_table("S"), dump) << "failed INSERT left rows behind";
+    auto ctas = engine_.Execute(
+        "CREATE TABLE S_bad AS SELECT k, 1000 / (k - 100) AS q FROM L");
+    ASSERT_FALSE(ctas.ok());
+    EXPECT_FALSE(catalog_.HasTable("S_bad"));
+    if (threads == 1) {
+      baseline = dump;
+      continue;
+    }
+    EXPECT_EQ(dump, baseline) << "streamed inserts diverged at " << threads
+                              << " threads";
   }
   engine_.set_num_threads(1);
 }
