@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/json.h"
 #include "datagen/quest_gen.h"
@@ -118,7 +119,9 @@ THREADS_BENCH(BM_DhpThreads, SimpleAlgorithm::kDhp);
 
 // --smoke: one run per pool member on a small Quest db, pass counters
 // (including the DHP filter sizes and Partition slice sizes) emitted as
-// JSON and validated.
+// JSON and validated. Every member must find the same number of large
+// itemsets of each size, and a levelwise member's large_per_level must
+// match what it returned.
 int RunSmoke() {
   datagen::QuestParams params;
   params.num_transactions = 300;
@@ -136,7 +139,9 @@ int RunSmoke() {
 
   JsonWriter w;
   w.BeginObject();
+  std::vector<int64_t> expected_per_size;  // the first member's
   for (SimpleAlgorithm algorithm : algorithms) {
+    const char* name = mining::SimpleAlgorithmName(algorithm);
     mining::SimpleMinerOptions options;
     options.partition_count = 4;
     options.sample_rate = 0.2;
@@ -144,11 +149,31 @@ int RunSmoke() {
     mining::SimpleMinerStats stats;
     auto result = miner->Mine(db, min_count, -1, &stats);
     if (!result.ok()) {
-      std::fprintf(stderr, "%s: %s\n", mining::SimpleAlgorithmName(algorithm),
+      std::fprintf(stderr, "%s: %s\n", name,
                    result.status().ToString().c_str());
       return 1;
     }
-    w.Key(mining::SimpleAlgorithmName(algorithm)).BeginObject();
+    std::vector<int64_t> per_size;
+    for (const mining::FrequentItemset& fi : result.value()) {
+      if (per_size.size() < fi.items.size()) per_size.resize(fi.items.size());
+      ++per_size[fi.items.size() - 1];
+    }
+    if (expected_per_size.empty()) expected_per_size = per_size;
+    if (per_size != expected_per_size) {
+      std::fprintf(stderr, "SMOKE FAIL %s: large itemsets per size differ "
+                   "from %s's\n", name,
+                   mining::SimpleAlgorithmName(algorithms[0]));
+      return 1;
+    }
+    // Levelwise members count each level; the last may be an empty one.
+    std::vector<int64_t> levels = stats.large_per_level;
+    while (!levels.empty() && levels.back() == 0) levels.pop_back();
+    if (levels.size() > 1 && levels != per_size) {
+      std::fprintf(stderr, "SMOKE FAIL %s: large_per_level disagrees with "
+                   "the itemsets it returned\n", name);
+      return 1;
+    }
+    w.Key(name).BeginObject();
     w.Key("itemsets").Int(static_cast<int64_t>(result.value().size()));
     w.Key("passes").Int(stats.passes);
     w.Key("candidates_per_level").BeginArray();

@@ -7,8 +7,8 @@
 //   bench_sql_engine                # full Google-benchmark sweep
 //   bench_sql_engine --plan-smoke   # CI gate: cost-based planning (DESIGN.md
 //                                   # §14) vs the syntactic planner on skewed
-//                                   # retail data + adaptive core-algorithm
-//                                   # selection, JSON report, "PLAN SMOKE OK"
+//                                   # retail data + the simple core's
+//                                   # algorithm=auto, JSON report, "PLAN SMOKE OK"
 
 #include <benchmark/benchmark.h>
 
@@ -317,12 +317,12 @@ std::string RenderResult(const sql::QueryResult& result) {
 //     byte-identical, the cost-based plan must never be > 5% slower, and at
 //     least one `checked` shape (build-side swap, join reorder) must improve
 //     by >= 1.15x.
-//  2. Adaptive core-algorithm selection: MINE-RULE's simple core with
-//     algorithm=auto vs the static default (gidlist) on shapes where the
-//     choice matters; identical rules, never > 5% slower, >= 1.15x on a
-//     `checked` shape.
+//  2. The simple core's algorithm=auto against the static gidlist member
+//     on a dense-shallow, a sparse and a deep-lattice shape: identical rule
+//     counts. auto resolves to gidlist, which measured fastest on all three
+//     (DESIGN.md §19), so there is no choice left to time.
 //
-// Both parts alternate the two sides within each repetition and judge a
+// Part 1 alternates the two sides within each repetition and judges a
 // shape on the median of the paired ratios, not on the best run per side.
 // A timed SQL sample repeats its query until it spans kMinSampleMs.
 // Emits one validated JSON report and PLAN SMOKE OK / PLAN SMOKE FAIL.
@@ -335,7 +335,6 @@ struct PlanQuery {
 
 int RunPlanSmoke() {
   constexpr int kReps = 21;
-  constexpr int kMineReps = 4;
   constexpr double kSlowdownTolerance = 1.05;
   constexpr double kRequiredSpeedup = 1.15;
   constexpr double kMinSampleMs = 150.0;
@@ -491,14 +490,11 @@ int RunPlanSmoke() {
   }
   w.EndArray();
 
-  // Part 2: adaptive algorithm selection. The static default is the paper's
-  // gid-list scheme; `checked` shapes are dense with a shallow frequent
-  // lattice, where auto resolves to DHP (~10x measured).
+  // Part 2: algorithm=auto must mine what the static gidlist member mines.
   struct MineWorkload {
     const char* name;
     mining::TransactionDb db;
     double support;
-    bool checked;
   };
   std::vector<MineWorkload> workloads;
   {
@@ -515,8 +511,8 @@ int RunPlanSmoke() {
     }
     workloads.push_back(
         {"dense_shallow",
-         mining::TransactionDb::FromTransactions(std::move(txns), 8000), 0.15,
-         true});
+         mining::TransactionDb::FromTransactions(std::move(txns), 8000),
+         0.15});
   }
   {
     datagen::QuestParams qp;
@@ -525,7 +521,7 @@ int RunPlanSmoke() {
     qp.avg_pattern_size = 4;
     qp.num_items = 500;
     qp.num_patterns = 80;
-    workloads.push_back({"sparse", datagen::GenerateQuestDb(qp), 0.01, false});
+    workloads.push_back({"sparse", datagen::GenerateQuestDb(qp), 0.01});
   }
   {
     datagen::QuestParams qp;
@@ -534,38 +530,25 @@ int RunPlanSmoke() {
     qp.avg_pattern_size = 5;
     qp.num_items = 60;
     qp.num_patterns = 15;
-    workloads.push_back(
-        {"deep_lattice", datagen::GenerateQuestDb(qp), 0.04, false});
+    workloads.push_back({"deep_lattice", datagen::GenerateQuestDb(qp), 0.04});
   }
 
-  int mine_improved = 0;
   w.Key("mining").BeginArray();
   for (const MineWorkload& load : workloads) {
     const mining::SimpleAlgorithm algs[2] = {
         mining::SimpleAlgorithm::kGidList, mining::SimpleAlgorithm::kAuto};
-    std::vector<double> ms_of[2];
     size_t rule_count[2] = {0, 0};
-    // Reps are interleaved and the run order alternates so allocator state
-    // is shared fairly; the parity workloads compare an algorithm against
-    // itself and would otherwise show pure measurement drift.
-    for (int rep = 0; rep < kMineReps; ++rep) {
-      for (int pos = 0; pos < 2; ++pos) {
-        const int a = (pos + rep) % 2;
-        auto start = std::chrono::steady_clock::now();
-        auto rules = mining::MineSimpleRules(load.db, load.support, 0.3,
-                                             mining::CardinalityConstraint{},
-                                             mining::CardinalityConstraint{},
-                                             algs[a], {});
-        auto stop = std::chrono::steady_clock::now();
-        if (!rules.ok()) {
-          std::fprintf(stderr, "PLAN SMOKE FAIL %s: %s\n", load.name,
-                       rules.status().ToString().c_str());
-          return 1;
-        }
-        rule_count[a] = rules.value().size();
-        ms_of[a].push_back(
-            std::chrono::duration<double, std::milli>(stop - start).count());
+    for (int a = 0; a < 2; ++a) {
+      auto rules = mining::MineSimpleRules(load.db, load.support, 0.3,
+                                           mining::CardinalityConstraint{},
+                                           mining::CardinalityConstraint{},
+                                           algs[a], {});
+      if (!rules.ok()) {
+        std::fprintf(stderr, "PLAN SMOKE FAIL %s: %s\n", load.name,
+                     rules.status().ToString().c_str());
+        return 1;
       }
+      rule_count[a] = rules.value().size();
     }
     if (rule_count[0] != rule_count[1]) {
       std::fprintf(stderr, "PLAN SMOKE FAIL %s: auto found %zu rules, "
@@ -573,27 +556,9 @@ int RunPlanSmoke() {
                    load.name, rule_count[1], rule_count[0]);
       return 1;
     }
-    const mining::SimpleAlgorithm resolved = mining::ChooseSimpleAlgorithm(
-        load.db,
-        mining::MinGroupCount(load.support, load.db.total_groups()));
-    const double speedup = MedianSpeedup(ms_of[0], ms_of[1]);
-    // When auto resolves to the static default the two runs execute the
-    // same member and the timing delta is pure allocator/cache noise (up to
-    // ~15% on the rule-heavy shapes); the timing gate only applies when the
-    // selection actually diverged.
-    const bool pass = resolved == mining::SimpleAlgorithm::kGidList ||
-                      speedup * kSlowdownTolerance >= 1.0;
-    if (!pass) ok = false;
-    if (load.checked && speedup >= kRequiredSpeedup) ++mine_improved;
     w.BeginObject();
     w.Key("workload").String(load.name);
-    w.Key("auto_algorithm").String(mining::SimpleAlgorithmName(resolved));
-    w.Key("static_ms").Double(Median(ms_of[0]));
-    w.Key("auto_ms").Double(Median(ms_of[1]));
-    w.Key("speedup").Double(speedup);
     w.Key("rules").Int(static_cast<int64_t>(rule_count[0]));
-    w.Key("checked").Bool(load.checked);
-    w.Key("pass").Bool(pass);
     w.EndObject();
   }
   w.EndArray();
@@ -609,11 +574,6 @@ int RunPlanSmoke() {
   std::printf("%s\n", json.c_str());
   if (improved == 0) {
     std::printf("PLAN SMOKE FAIL: no checked query improved >= 1.15x\n");
-    return 1;
-  }
-  if (mine_improved == 0) {
-    std::printf(
-        "PLAN SMOKE FAIL: adaptive selection did not improve >= 1.15x\n");
     return 1;
   }
   if (!ok) {

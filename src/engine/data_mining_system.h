@@ -22,10 +22,10 @@ namespace minerule::mr {
 /// Knobs for one MINE RULE execution.
 struct MiningOptions {
   /// Which pool member the simple core uses (§3: algorithm
-  /// interoperability). The default, kAuto, resolves a member from the
-  /// encoded source's shape (DESIGN.md §14); naming a member pins it. The
-  /// general core has a single implementation. Every member returns the
-  /// same rules, so this only affects speed.
+  /// interoperability). The default, kAuto, resolves to the gid-list
+  /// scheme, which measured fastest on every source shape (DESIGN.md §19);
+  /// naming a member pins it. The general core has a single implementation.
+  /// Every member returns the same rules, so this only affects speed.
   mining::SimpleAlgorithm algorithm = mining::SimpleAlgorithm::kAuto;
   mining::SimpleMinerOptions simple_options;
 

@@ -72,8 +72,7 @@ Result<std::vector<MinedRule>> RunCoreOperator(
     simple_options.num_threads = options.num_threads;
     SimpleAlgorithm algorithm = options.algorithm;
     if (algorithm == SimpleAlgorithm::kAuto) {
-      algorithm = ChooseSimpleAlgorithm(
-          db, MinGroupCount(min_support, db.total_groups()));
+      algorithm = SimpleAlgorithm::kGidList;
     }
     MR_ASSIGN_OR_RETURN(
         std::vector<MinedRule> rules,

@@ -6,10 +6,11 @@
 namespace minerule::mining {
 
 /// The counting scheme the paper describes for its simple core (§4.3.1):
-/// levelwise growth where each itemset carries the sorted list of group
-/// identifiers containing it; the support of a new (k+1)-itemset is the
-/// size of the intersection of its two parents' lists. No further database
-/// passes are needed after the vertical layout is built (pass count 1).
+/// levelwise growth where each itemset carries the set of groups containing
+/// it (a bitmap or a sorted list, whichever is smaller); the support of a
+/// new (k+1)-itemset is the size of the intersection of its left parent's
+/// set with its new item's. No further database passes are needed after
+/// the vertical layout is built (pass count 1). DESIGN.md §19.
 class GidListMiner : public FrequentItemsetMiner {
  public:
   const char* name() const override { return "gidlist"; }

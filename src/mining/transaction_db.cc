@@ -1,24 +1,27 @@
 #include "mining/transaction_db.h"
 
 #include <algorithm>
-#include <map>
 
 namespace minerule::mining {
 
 TransactionDb TransactionDb::FromPairs(
     std::vector<std::pair<Gid, ItemId>> pairs, int64_t total_groups) {
-  std::map<Gid, Itemset> by_group;
-  for (const auto& [gid, item] : pairs) {
-    by_group[gid].push_back(item);
+  // Sorted and duplicate-free, the pairs of one group are adjacent and
+  // their items already canonical.
+  if (!std::is_sorted(pairs.begin(), pairs.end())) {
+    std::sort(pairs.begin(), pairs.end());
   }
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   TransactionDb db;
   db.total_groups_ = total_groups;
-  db.gids_.reserve(by_group.size());
-  db.transactions_.reserve(by_group.size());
-  for (auto& [gid, items] : by_group) {
-    Canonicalize(&items);
+  for (size_t p = 0; p < pairs.size();) {
+    const Gid gid = pairs[p].first;
+    size_t end = p;
+    while (end < pairs.size() && pairs[end].first == gid) ++end;
     db.gids_.push_back(gid);
-    db.transactions_.push_back(std::move(items));
+    Itemset& items = db.transactions_.emplace_back();
+    items.reserve(end - p);
+    for (; p < end; ++p) items.push_back(pairs[p].second);
   }
   db.BuildIndexes();
   return db;

@@ -316,6 +316,26 @@ void CollectColumnRefs(const Expr& expr,
   }
 }
 
+/// A WHERE column that several FROM tables carry is ambiguous, as it is in
+/// the select list, even where one table alone could bind it early.
+Status CheckUnambiguous(const std::vector<ExprPtr>& conjuncts,
+                        const std::vector<BindScope>& scopes) {
+  std::vector<const ColumnRefExpr*> refs;
+  for (const ExprPtr& c : conjuncts) CollectColumnRefs(*c, &refs);
+  for (const ColumnRefExpr* ref : refs) {
+    int tables = 0;
+    for (const BindScope& scope : scopes) {
+      tables += scope.CanResolve(ref->qualifier, ref->column) ? 1 : 0;
+    }
+    if (tables > 1) {
+      BindScope all;
+      for (const BindScope& scope : scopes) all.Append(scope);
+      return all.Resolve(ref->qualifier, ref->column).status();
+    }
+  }
+  return Status::OK();
+}
+
 /// Derives an output column name for an unaliased select expression.
 std::string DeriveColumnName(const Expr& expr) {
   if (expr.kind == ExprKind::kColumnRef) {
@@ -416,6 +436,7 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhere(
 
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(std::move(stmt->where), &conjuncts);
+  MR_RETURN_IF_ERROR(CheckUnambiguous(conjuncts, scopes));
 
   // Cost-based FROM/WHERE planning (DESIGN.md §14): only over plain base
   // tables with NEXTVAL-free predicates; anything else — views, subqueries,

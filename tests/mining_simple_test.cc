@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 
 #include "common/random.h"
+#include "datagen/quest_gen.h"
 #include "mining/apriori.h"
+#include "mining/gidlist_miner.h"
 #include "mining/partition.h"
 #include "mining/reference_miner.h"
 #include "mining/simple_miner.h"
@@ -65,8 +69,155 @@ TEST(ItemsetTest, SubsetsOfSize) {
 TEST(GidListTest, Intersection) {
   EXPECT_EQ(IntersectGidLists({1, 3, 5, 7}, {2, 3, 5, 8}), (GidList{3, 5}));
   EXPECT_EQ(IntersectGidLists({}, {1}), GidList{});
-  EXPECT_EQ(IntersectionSize({1, 2, 3}, {1, 2, 3}), 3u);
-  EXPECT_EQ(IntersectionSize({1, 2}, {3, 4}), 0u);
+  EXPECT_EQ(IntersectGidLists({1, 2, 3}, {1, 2, 3}), (GidList{1, 2, 3}));
+  EXPECT_EQ(IntersectGidLists({1, 2}, {3, 4}), GidList{});
+}
+
+// ---------------------------------------------------------------------------
+// Gid-sets: a bitmap exactly when count * 32 >= universe, else a list.
+// ---------------------------------------------------------------------------
+
+std::vector<TxPos> Intersect(const std::vector<TxPos>& a,
+                             const std::vector<TxPos>& b) {
+  std::vector<TxPos> out;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(out));
+  return out;
+}
+
+/// The first `count` positions of the multiples of `step`.
+std::vector<TxPos> Every(TxPos step, size_t count, TxPos offset = 0) {
+  std::vector<TxPos> out;
+  for (size_t i = 0; i < count; ++i) {
+    out.push_back(offset + static_cast<TxPos>(i) * step);
+  }
+  return out;
+}
+
+TEST(GidSetArenaTest, RepresentationFollowsSize) {
+  // 320 positions: 10 members are exactly as large as the 5-word bitmap.
+  GidSetArena sets(320);
+  sets.Append(Every(3, 10));
+  sets.Append(Every(3, 9));
+  sets.Append({});
+  EXPECT_TRUE(sets.is_bitmap(0));
+  EXPECT_FALSE(sets.is_bitmap(1));
+  EXPECT_FALSE(sets.is_bitmap(2));
+  EXPECT_EQ(sets.count(0), 10);
+  EXPECT_EQ(sets.Positions(0), Every(3, 10));
+  EXPECT_EQ(sets.Positions(1), Every(3, 9));
+  EXPECT_TRUE(sets.Positions(2).empty());
+  // A universe that is no multiple of 64: the boundary is count 11.
+  GidSetArena odd(330);
+  odd.Append(Every(30, 11));
+  odd.Append(Every(30, 10));
+  EXPECT_TRUE(odd.is_bitmap(0));
+  EXPECT_FALSE(odd.is_bitmap(1));
+  EXPECT_EQ(odd.Positions(0), Every(30, 11));
+}
+
+TEST(GidSetArenaTest, EachRepresentationPair) {
+  const size_t n = 320;  // bitmap from 10 members
+  const std::vector<TxPos> dense_a = Every(2, 160);      // even positions
+  const std::vector<TxPos> dense_b = Every(3, 100);      // multiples of 3
+  const std::vector<TxPos> sparse_a = Every(6, 9, 6);    // 6, 12, ..., 54
+  const std::vector<TxPos> sparse_b = Every(4, 9);       // 0, 4, ..., 32
+  GidSetArena src(n);
+  for (const auto& set : {dense_a, dense_b, sparse_a, sparse_b}) {
+    src.Append(set);
+  }
+  ASSERT_TRUE(src.is_bitmap(0) && src.is_bitmap(1));
+  ASSERT_FALSE(src.is_bitmap(2) || src.is_bitmap(3));
+  const std::vector<std::vector<TxPos>> sets = {dense_a, dense_b, sparse_a,
+                                                sparse_b};
+  // Every ordered pair: bitmap∧bitmap, bitmap∧list, list∧bitmap, list∧list.
+  for (size_t i = 0; i < sets.size(); ++i) {
+    for (size_t j = 0; j < sets.size(); ++j) {
+      GidSetArena out(n);
+      const std::vector<TxPos> expected = Intersect(sets[i], sets[j]);
+      EXPECT_EQ(out.AppendIntersection(src, i, src, j, 0),
+                static_cast<int64_t>(expected.size()))
+          << i << "," << j;
+      ASSERT_EQ(out.size(), 1u);
+      EXPECT_EQ(out.Positions(0), expected) << i << "," << j;
+      EXPECT_EQ(out.is_bitmap(0), UseBitmap(expected.size(), n))
+          << i << "," << j;
+    }
+  }
+}
+
+TEST(GidSetArenaTest, IntersectionCrossesTheBoundary) {
+  // Two bitmaps whose intersection has exactly 10 members stays a bitmap
+  // (10 * 32 == 320); with 9 members it becomes a list.
+  GidSetArena src(320);
+  src.Append(Every(1, 100));        // 0..99
+  src.Append(Every(10, 32));        // 0, 10, ..., 310: 10 below 100
+  src.Append(Every(10, 32, 10));    // 10, 20, ..., 320: 9 below 100
+  ASSERT_TRUE(src.is_bitmap(0) && src.is_bitmap(1) && src.is_bitmap(2));
+  GidSetArena out(320);
+  EXPECT_EQ(out.AppendIntersection(src, 0, src, 1, 0), 10);
+  EXPECT_EQ(out.AppendIntersection(src, 0, src, 2, 0), 9);
+  EXPECT_TRUE(out.is_bitmap(0));
+  EXPECT_FALSE(out.is_bitmap(1));
+  EXPECT_EQ(out.Positions(0), Every(10, 10));
+  EXPECT_EQ(out.Positions(1), Every(10, 9, 10));
+  // A list result fed back in intersects like any other list.
+  GidSetArena again(320);
+  EXPECT_EQ(again.AppendIntersection(out, 1, src, 0, 0), 9);
+  EXPECT_EQ(again.Positions(0), Every(10, 9, 10));
+}
+
+TEST(GidSetArenaTest, EmptySetsAndThreshold) {
+  GidSetArena src(320);
+  src.Append({});
+  src.Append(Every(1, 320));  // everything
+  src.Append(Every(5, 5));
+  GidSetArena out(320);
+  EXPECT_EQ(out.AppendIntersection(src, 0, src, 1, 0), 0);
+  EXPECT_EQ(out.AppendIntersection(src, 1, src, 0, 0), 0);
+  EXPECT_EQ(out.AppendIntersection(src, 0, src, 2, 0), 0);
+  ASSERT_EQ(out.size(), 3u);
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_TRUE(out.Positions(i).empty());
+    EXPECT_FALSE(out.is_bitmap(i));
+  }
+  // Below min_count the count is returned and nothing is stored, for every
+  // representation pair.
+  EXPECT_EQ(out.AppendIntersection(src, 1, src, 1, 321), 320);
+  EXPECT_EQ(out.AppendIntersection(src, 1, src, 2, 6), 5);
+  EXPECT_EQ(out.AppendIntersection(src, 2, src, 2, 6), 5);
+  EXPECT_EQ(out.size(), 3u);
+  out.Clear();
+  EXPECT_EQ(out.size(), 0u);
+  EXPECT_EQ(out.AppendIntersection(src, 1, src, 1, 320), 320);
+  EXPECT_TRUE(out.is_bitmap(0));
+  EXPECT_EQ(out.Positions(0), Every(1, 320));
+}
+
+TEST(GidSetArenaTest, RandomSetsMatchSetIntersection) {
+  Random rng(77);
+  const size_t n = 1000;  // bitmap from 32 members
+  std::vector<std::vector<TxPos>> sets;
+  for (double density : {0.0, 0.005, 0.02, 0.031, 0.032, 0.05, 0.3, 0.9}) {
+    std::vector<TxPos> set;
+    for (TxPos p = 0; p < n; ++p) {
+      if (rng.NextBool(density)) set.push_back(p);
+    }
+    sets.push_back(std::move(set));
+  }
+  GidSetArena src(n);
+  for (const auto& set : sets) src.Append(set);
+  for (size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(src.is_bitmap(i), UseBitmap(sets[i].size(), n));
+    EXPECT_EQ(src.Positions(i), sets[i]);
+    for (size_t j = 0; j < sets.size(); ++j) {
+      GidSetArena out(n);
+      const std::vector<TxPos> expected = Intersect(sets[i], sets[j]);
+      out.AppendIntersection(src, i, src, j, 0);
+      EXPECT_EQ(out.Positions(0), expected);
+      EXPECT_EQ(out.is_bitmap(0), UseBitmap(expected.size(), n));
+    }
+  }
 }
 
 TEST(TransactionDbTest, FromPairsBuildsBothLayouts) {
@@ -399,6 +550,190 @@ TEST(SimpleMinerTest, AlgorithmNamesRoundTrip) {
     EXPECT_EQ(parsed.value(), algorithm);
   }
   EXPECT_FALSE(SimpleAlgorithmFromName("fp-growth").ok());
+}
+
+// ---------------------------------------------------------------------------
+// The gid-list miner against the brute-force reference, on sources whose
+// frequent gid-sets are all bitmaps, all lists, or both.
+// ---------------------------------------------------------------------------
+
+void ExpectGidListMatchesReference(const TransactionDb& db,
+                                   int64_t min_count) {
+  for (int64_t max_size : {-1, 1, 2, 3}) {
+    ReferenceMiner reference;
+    GidListMiner gidlist;
+    auto expected = MustMine(&reference, db, min_count, max_size);
+    SimpleMinerStats stats;
+    auto actual = MustMine(&gidlist, db, min_count, max_size, &stats);
+    ASSERT_EQ(actual.size(), expected.size()) << "max_size=" << max_size;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(actual[i].items, expected[i].items) << i;
+      EXPECT_EQ(actual[i].group_count, expected[i].group_count)
+          << ItemsetToString(expected[i].items);
+    }
+    // large_per_level counts the result by size (a last level may be 0).
+    std::vector<int64_t> per_size;
+    for (const FrequentItemset& fi : actual) {
+      if (per_size.size() < fi.items.size()) per_size.resize(fi.items.size());
+      ++per_size[fi.items.size() - 1];
+    }
+    std::vector<int64_t> levels = stats.large_per_level;
+    while (!levels.empty() && levels.back() == 0) levels.pop_back();
+    EXPECT_EQ(levels, per_size) << "max_size=" << max_size;
+    EXPECT_EQ(stats.candidates_per_level.size(), stats.large_per_level.size());
+  }
+}
+
+TEST(GidListMinerTest, DenseQuestAllBitmaps) {
+  datagen::QuestParams params;
+  params.num_transactions = 64;
+  params.avg_transaction_size = 8;
+  params.avg_pattern_size = 4;
+  params.num_items = 16;
+  params.num_patterns = 8;
+  TransactionDb db = datagen::GenerateQuestDb(params);
+  const int64_t min_count = 2;
+  // Every frequent set has at least 2 of 64 groups: all bitmaps.
+  ASSERT_TRUE(UseBitmap(min_count, db.num_transactions()));
+  ExpectGidListMatchesReference(db, min_count);
+}
+
+TEST(GidListMinerTest, SparseAllLists) {
+  // 3200 groups: a bitmap needs 100 members, and no item reaches that.
+  TransactionDb db = RandomDb(41, 3200, 16, 0.02);
+  for (ItemId item : db.items()) {
+    ASSERT_FALSE(UseBitmap(db.gid_list(item).size(), db.num_transactions()));
+  }
+  ExpectGidListMatchesReference(db, 2);
+}
+
+TEST(GidListMinerTest, MixedQuest) {
+  datagen::QuestParams params;
+  params.num_transactions = 1000;
+  params.avg_transaction_size = 4;
+  params.avg_pattern_size = 3;
+  params.num_items = 20;
+  params.num_patterns = 10;
+  TransactionDb db = datagen::GenerateQuestDb(params);
+  const int64_t min_count = 8;
+  // Items are bitmaps (32 of 1000 groups or more) while most frequent
+  // pairs and triples are lists.
+  size_t bitmaps = 0;
+  for (ItemId item : db.items()) {
+    bitmaps += UseBitmap(db.gid_list(item).size(), 1000) ? 1 : 0;
+  }
+  ASSERT_GT(bitmaps, 0u);
+  ASSERT_FALSE(UseBitmap(min_count, 1000));
+  ExpectGidListMatchesReference(db, min_count);
+}
+
+// ---------------------------------------------------------------------------
+// Rule derivation: the same rules, in the same order, as the straightforward
+// derivation (every head subset, a map lookup of the body, a RuleLess sort).
+// ---------------------------------------------------------------------------
+
+std::vector<MinedRule> StraightforwardRules(
+    const std::vector<FrequentItemset>& itemsets, int64_t min_group_count,
+    double min_confidence, const CardinalityConstraint& body_card,
+    const CardinalityConstraint& head_card) {
+  std::map<Itemset, int64_t> counts;
+  for (const FrequentItemset& fi : itemsets) counts[fi.items] = fi.group_count;
+  std::vector<MinedRule> rules;
+  for (const FrequentItemset& fi : itemsets) {
+    if (fi.items.size() < 2 || fi.group_count < min_group_count) continue;
+    for (size_t head_size = 1; head_size < fi.items.size(); ++head_size) {
+      if (!head_card.Allows(head_size) ||
+          !body_card.Allows(fi.items.size() - head_size)) {
+        continue;
+      }
+      for (Itemset& head : SubsetsOfSize(fi.items, head_size)) {
+        Itemset body;
+        std::set_difference(fi.items.begin(), fi.items.end(), head.begin(),
+                            head.end(), std::back_inserter(body));
+        auto it = counts.find(body);
+        if (it == counts.end()) continue;
+        const double confidence = static_cast<double>(fi.group_count) /
+                                  static_cast<double>(it->second);
+        if (confidence + 1e-12 < min_confidence) continue;
+        rules.push_back({std::move(body), std::move(head), fi.group_count,
+                         it->second});
+      }
+    }
+  }
+  std::sort(rules.begin(), rules.end(), RuleLess);
+  return rules;
+}
+
+void ExpectSameRules(const std::vector<FrequentItemset>& itemsets,
+                     int64_t min_count, double min_confidence,
+                     const CardinalityConstraint& body_card,
+                     const CardinalityConstraint& head_card) {
+  const auto expected = StraightforwardRules(itemsets, min_count,
+                                             min_confidence, body_card,
+                                             head_card);
+  const auto actual = BuildRulesFromItemsets(itemsets, min_count,
+                                             min_confidence, body_card,
+                                             head_card);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(actual[i].ToString(), expected[i].ToString()) << i;
+    EXPECT_EQ(actual[i].group_count, expected[i].group_count) << i;
+    EXPECT_EQ(actual[i].body_group_count, expected[i].body_group_count) << i;
+  }
+}
+
+TEST(RuleBuilderTest, AnyHeadSizeMatchesStraightforwardDerivation) {
+  TransactionDb db = RandomDb(8, 60, 9, 0.5);
+  GidListMiner miner;
+  auto itemsets = MustMine(&miner, db, 6);
+  ASSERT_GT(itemsets.size(), 100u);
+  for (double confidence : {0.0, 0.5, 0.9}) {
+    ExpectSameRules(itemsets, 6, confidence, {1, -1}, {1, -1});  // 1..n
+    ExpectSameRules(itemsets, 6, confidence, {1, 2}, {2, 3});
+    ExpectSameRules(itemsets, 10, confidence, {2, -1}, {1, 1});
+  }
+  // Input order does not matter: ranks come from sorting the itemsets.
+  std::reverse(itemsets.begin(), itemsets.end());
+  ExpectSameRules(itemsets, 6, 0.5, {1, -1}, {1, -1});
+}
+
+TEST(RuleBuilderTest, NonDownwardClosedInput) {
+  // {3} and {2, 3} are missing: rules with those heads still appear and
+  // sort like any other, while a missing body ({3} or {2, 3}) skips its
+  // rule.
+  std::vector<FrequentItemset> itemsets = {
+      {{1}, 9}, {{1, 2}, 6}, {{1, 2, 3}, 4}, {{1, 3}, 5}, {{2}, 8}};
+  ExpectSameRules(itemsets, 1, 0.0, {1, -1}, {1, -1});
+  auto rules = BuildRulesFromItemsets(itemsets, 1, 0.0, {1, -1}, {1, -1});
+  std::vector<std::string> names;
+  for (const MinedRule& rule : rules) names.push_back(rule.ToString());
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "{1} => {2}", "{1} => {2, 3}", "{1} => {3}",
+                       "{1, 2} => {3}", "{1, 3} => {2}", "{2} => {1}",
+                       "{2} => {1, 3}"}));
+}
+
+TEST(RuleBuilderTest, TiesAndRepeatedItemsets) {
+  // Equal counts everywhere, so every rule ties on confidence and support;
+  // order comes from the itemsets alone. A repeated itemset yields its
+  // rules twice, as it always did.
+  std::vector<FrequentItemset> itemsets = {
+      {{1}, 5}, {{2}, 5}, {{3}, 5}, {{1, 2}, 5}, {{1, 3}, 5},
+      {{2, 3}, 5}, {{1, 2, 3}, 5}, {{1, 2}, 5}};
+  ExpectSameRules(itemsets, 1, 1.0, {1, -1}, {1, -1});
+  EXPECT_EQ(BuildRulesFromItemsets(itemsets, 1, 1.0, {1, -1}, {1, -1}).size(),
+            14u);
+}
+
+TEST(RuleLessTest, OrdersByBodyThenHead) {
+  auto rule = [](Itemset body, Itemset head) {
+    return MinedRule{std::move(body), std::move(head), 1, 1};
+  };
+  EXPECT_TRUE(RuleLess(rule({1}, {3}), rule({1, 2}, {0})));  // prefix body
+  EXPECT_TRUE(RuleLess(rule({1, 2}, {9}), rule({1, 3}, {0})));
+  EXPECT_TRUE(RuleLess(rule({1}, {2}), rule({1}, {2, 3})));
+  EXPECT_FALSE(RuleLess(rule({1}, {2}), rule({1}, {2})));
+  EXPECT_FALSE(RuleLess(rule({2}, {1}), rule({1}, {5})));
 }
 
 }  // namespace

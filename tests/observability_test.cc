@@ -99,10 +99,16 @@ TEST_F(ObservabilityTest, ExplainKeepsNextValAndSharedColumnOffRightInput) {
             "    -> HashJoin (t.a = s.a)\n"
             "      -> TableScan (t)\n"
             "      -> TableScan (s)\n");
-  EXPECT_EQ(Plan("EXPLAIN SELECT t.b FROM t, s WHERE t.a = s.a AND a > 1"),
+  // A column both inputs carry must be qualified, in WHERE as in the select
+  // list; its filter then goes onto its own input.
+  auto ambiguous = system_.ExecuteSql(
+      "EXPLAIN SELECT t.b FROM t, s WHERE t.a = s.a AND a > 1");
+  ASSERT_FALSE(ambiguous.ok());
+  EXPECT_EQ(ambiguous.status().code(), StatusCode::kSemanticError);
+  EXPECT_EQ(Plan("EXPLAIN SELECT t.b FROM t, s WHERE t.a = s.a AND t.a > 1"),
             "Project (t.b)\n"
             "  -> HashJoin (t.a = s.a)\n"
-            "    -> Filter ((a > 1))\n"
+            "    -> Filter ((t.a > 1))\n"
             "      -> TableScan (t)\n"
             "    -> TableScan (s)\n");
 }

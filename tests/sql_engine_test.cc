@@ -468,6 +468,28 @@ TEST_F(SqlEngineTest, ErrorAmbiguousColumn) {
            StatusCode::kSemanticError);
 }
 
+TEST_F(SqlEngineTest, ErrorAmbiguousWhereColumn) {
+  // An unqualified WHERE column that both FROM tables carry is as ambiguous
+  // as it is in the select list, though the planner could bind it to the
+  // first table's filter before the join.
+  MustExecute("CREATE TABLE t (a INTEGER, b INTEGER)");
+  MustExecute("CREATE TABLE s (a INTEGER, c INTEGER)");
+  MustExecute("INSERT INTO t VALUES (1, 10), (2, 20)");
+  MustExecute("INSERT INTO s VALUES (1, 100), (2, 200)");
+  for (bool cost_based : {false, true}) {
+    engine_.set_cost_based(cost_based);
+    Result<QueryResult> result =
+        engine_.Execute("SELECT t.b FROM t, s WHERE t.a = s.a AND a > 1");
+    ASSERT_FALSE(result.ok()) << "cost_based=" << cost_based;
+    EXPECT_EQ(result.status().code(), StatusCode::kSemanticError);
+    EXPECT_NE(result.status().ToString().find("ambiguous column reference: a"),
+              std::string::npos)
+        << result.status();
+    // Qualified, the same filter runs.
+    MustExecute("SELECT t.b FROM t, s WHERE t.a = s.a AND t.a > 1");
+  }
+}
+
 TEST_F(SqlEngineTest, ErrorNonGroupedColumn) {
   SetUpPurchase();
   MustFail("SELECT item, COUNT(*) FROM Purchase GROUP BY customer",
