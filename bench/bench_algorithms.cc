@@ -9,12 +9,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
+#include "common/random.h"
 #include "datagen/quest_gen.h"
 #include "mining/simple_miner.h"
 
@@ -117,21 +119,71 @@ THREADS_BENCH(BM_PartitionThreads, SimpleAlgorithm::kPartition);
 THREADS_BENCH(BM_AprioriThreads, SimpleAlgorithm::kApriori);
 THREADS_BENCH(BM_DhpThreads, SimpleAlgorithm::kDhp);
 
-// --smoke: one run per pool member on a small Quest db, pass counters
+// --smoke: one run per pool member on each of four shapes, pass counters
 // (including the DHP filter sizes and Partition slice sizes) emitted as
-// JSON and validated. Every member must find the same number of large
-// itemsets of each size, and a levelwise member's large_per_level must
-// match what it returned.
-int RunSmoke() {
-  datagen::QuestParams params;
-  params.num_transactions = 300;
-  params.avg_transaction_size = 8;
-  params.avg_pattern_size = 3;
-  params.num_items = 100;
-  params.num_patterns = 20;
-  mining::TransactionDb db = datagen::GenerateQuestDb(params);
-  const int64_t min_count = mining::MinGroupCount(0.02, db.total_groups());
+// JSON and validated. On every shape every member must find the same large
+// itemsets with the same counts, the shape must have large itemsets of
+// size >= 2 (otherwise the agreement checks nothing), and a levelwise
+// member's large_per_level must match what it returned.
+struct SmokeShape {
+  const char* name;
+  mining::TransactionDb db;
+  double support;
+};
 
+std::vector<SmokeShape> SmokeShapes() {
+  std::vector<SmokeShape> shapes;
+  {
+    datagen::QuestParams qp;
+    qp.num_transactions = 300;
+    qp.avg_transaction_size = 8;
+    qp.avg_pattern_size = 3;
+    qp.num_items = 100;
+    qp.num_patterns = 20;
+    shapes.push_back({"quest_small", datagen::GenerateQuestDb(qp), 0.02});
+  }
+  {
+    // 12 uniform draws over 40 items: about 10.5 distinct items per
+    // transaction, so a pair's support is near 7% and a triple's near 2%.
+    // At 5% nearly every pair is large and no triple is.
+    Random rng(4242);
+    std::vector<mining::Itemset> txns;
+    for (int64_t i = 0; i < 8000; ++i) {
+      mining::Itemset t;
+      for (int k = 0; k < 12; ++k) {
+        t.push_back(static_cast<mining::ItemId>(rng.NextBounded(40)));
+      }
+      std::sort(t.begin(), t.end());
+      t.erase(std::unique(t.begin(), t.end()), t.end());
+      txns.push_back(std::move(t));
+    }
+    shapes.push_back(
+        {"dense_shallow",
+         mining::TransactionDb::FromTransactions(std::move(txns), 8000),
+         0.05});
+  }
+  {
+    datagen::QuestParams qp;
+    qp.num_transactions = 10000;
+    qp.avg_transaction_size = 10;
+    qp.avg_pattern_size = 4;
+    qp.num_items = 500;
+    qp.num_patterns = 80;
+    shapes.push_back({"sparse", datagen::GenerateQuestDb(qp), 0.01});
+  }
+  {
+    datagen::QuestParams qp;
+    qp.num_transactions = 2000;
+    qp.avg_transaction_size = 12;
+    qp.avg_pattern_size = 5;
+    qp.num_items = 60;
+    qp.num_patterns = 15;
+    shapes.push_back({"deep_lattice", datagen::GenerateQuestDb(qp), 0.04});
+  }
+  return shapes;
+}
+
+int RunSmoke() {
   const SimpleAlgorithm algorithms[] = {
       SimpleAlgorithm::kApriori,   SimpleAlgorithm::kAprioriTid,
       SimpleAlgorithm::kGidList,   SimpleAlgorithm::kDhp,
@@ -139,54 +191,77 @@ int RunSmoke() {
 
   JsonWriter w;
   w.BeginObject();
-  std::vector<int64_t> expected_per_size;  // the first member's
-  for (SimpleAlgorithm algorithm : algorithms) {
-    const char* name = mining::SimpleAlgorithmName(algorithm);
-    mining::SimpleMinerOptions options;
-    options.partition_count = 4;
-    options.sample_rate = 0.2;
-    auto miner = mining::CreateMiner(algorithm, options);
-    mining::SimpleMinerStats stats;
-    auto result = miner->Mine(db, min_count, -1, &stats);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s: %s\n", name,
-                   result.status().ToString().c_str());
-      return 1;
+  for (const SmokeShape& shape : SmokeShapes()) {
+    const int64_t min_count =
+        mining::MinGroupCount(shape.support, shape.db.total_groups());
+    w.Key(shape.name).BeginObject();
+    std::vector<mining::FrequentItemset> expected;  // the first member's
+    for (SimpleAlgorithm algorithm : algorithms) {
+      const char* name = mining::SimpleAlgorithmName(algorithm);
+      mining::SimpleMinerOptions options;
+      options.partition_count = 4;
+      options.sample_rate = 0.2;
+      auto miner = mining::CreateMiner(algorithm, options);
+      mining::SimpleMinerStats stats;
+      auto result = miner->Mine(shape.db, min_count, -1, &stats);
+      if (!result.ok()) {
+        std::fprintf(stderr, "%s %s: %s\n", shape.name, name,
+                     result.status().ToString().c_str());
+        return 1;
+      }
+      std::vector<mining::FrequentItemset> found = std::move(result.value());
+      std::sort(found.begin(), found.end(),
+                [](const mining::FrequentItemset& a,
+                   const mining::FrequentItemset& b) {
+                  return a.items < b.items;
+                });
+      std::vector<int64_t> per_size;
+      for (const mining::FrequentItemset& fi : found) {
+        if (per_size.size() < fi.items.size()) per_size.resize(fi.items.size());
+        ++per_size[fi.items.size() - 1];
+      }
+      if (per_size.size() < 2) {
+        std::fprintf(stderr, "SMOKE FAIL %s %s: no large itemset of size "
+                     ">= 2\n", shape.name, name);
+        return 1;
+      }
+      if (algorithm == algorithms[0]) expected = found;
+      const bool same = std::equal(
+          found.begin(), found.end(), expected.begin(), expected.end(),
+          [](const mining::FrequentItemset& a,
+             const mining::FrequentItemset& b) {
+            return a.items == b.items && a.group_count == b.group_count;
+          });
+      if (!same) {
+        std::fprintf(stderr, "SMOKE FAIL %s %s: large itemsets differ "
+                     "from %s's\n", shape.name, name,
+                     mining::SimpleAlgorithmName(algorithms[0]));
+        return 1;
+      }
+      // Levelwise members count each level; the last may be an empty one.
+      std::vector<int64_t> levels = stats.large_per_level;
+      while (!levels.empty() && levels.back() == 0) levels.pop_back();
+      if (levels.size() > 1 && levels != per_size) {
+        std::fprintf(stderr, "SMOKE FAIL %s %s: large_per_level disagrees "
+                     "with the itemsets it returned\n", shape.name, name);
+        return 1;
+      }
+      w.Key(name).BeginObject();
+      w.Key("itemsets").Int(static_cast<int64_t>(found.size()));
+      w.Key("passes").Int(stats.passes);
+      w.Key("candidates_per_level").BeginArray();
+      for (int64_t c : stats.candidates_per_level) w.Int(c);
+      w.EndArray();
+      w.Key("large_per_level").BeginArray();
+      for (int64_t c : stats.large_per_level) w.Int(c);
+      w.EndArray();
+      w.Key("dhp_unfiltered_pairs").Int(stats.dhp_unfiltered_pairs);
+      w.Key("dhp_filtered_pairs").Int(stats.dhp_filtered_pairs);
+      w.Key("partition_slice_sizes").BeginArray();
+      for (int64_t s : stats.partition_slice_sizes) w.Int(s);
+      w.EndArray();
+      w.EndObject();
     }
-    std::vector<int64_t> per_size;
-    for (const mining::FrequentItemset& fi : result.value()) {
-      if (per_size.size() < fi.items.size()) per_size.resize(fi.items.size());
-      ++per_size[fi.items.size() - 1];
-    }
-    if (expected_per_size.empty()) expected_per_size = per_size;
-    if (per_size != expected_per_size) {
-      std::fprintf(stderr, "SMOKE FAIL %s: large itemsets per size differ "
-                   "from %s's\n", name,
-                   mining::SimpleAlgorithmName(algorithms[0]));
-      return 1;
-    }
-    // Levelwise members count each level; the last may be an empty one.
-    std::vector<int64_t> levels = stats.large_per_level;
-    while (!levels.empty() && levels.back() == 0) levels.pop_back();
-    if (levels.size() > 1 && levels != per_size) {
-      std::fprintf(stderr, "SMOKE FAIL %s: large_per_level disagrees with "
-                   "the itemsets it returned\n", name);
-      return 1;
-    }
-    w.Key(name).BeginObject();
-    w.Key("itemsets").Int(static_cast<int64_t>(result.value().size()));
-    w.Key("passes").Int(stats.passes);
-    w.Key("candidates_per_level").BeginArray();
-    for (int64_t c : stats.candidates_per_level) w.Int(c);
-    w.EndArray();
-    w.Key("large_per_level").BeginArray();
-    for (int64_t c : stats.large_per_level) w.Int(c);
-    w.EndArray();
-    w.Key("dhp_unfiltered_pairs").Int(stats.dhp_unfiltered_pairs);
-    w.Key("dhp_filtered_pairs").Int(stats.dhp_filtered_pairs);
-    w.Key("partition_slice_sizes").BeginArray();
-    for (int64_t s : stats.partition_slice_sizes) w.Int(s);
-    w.EndArray();
     w.EndObject();
   }
   w.EndObject();

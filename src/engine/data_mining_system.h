@@ -38,10 +38,7 @@ struct MiningOptions {
   /// No effect; kept only so the frozen benchmark driver compiles.
   bool vectorized_sql = false;
 
-  /// Cost-based planning for the generated SQL (DESIGN.md §14): join
-  /// reordering, build-side choice and spill fan-out sizing from catalog
-  /// statistics plus observed-cardinality feedback. The mined rules are
-  /// bit-identical either way (the fuzz oracle's cost-based route pins it).
+  /// No effect; kept only so the frozen benchmark driver compiles.
   bool cost_based_sql = false;
 
   /// Memory budget in bytes for the SQL engine's operator working sets

@@ -33,12 +33,6 @@ class Table {
   /// (e.g. the preprocess cache) fold it into their keys to detect DML.
   uint64_t version() const { return version_; }
 
-  /// Epoch of the last *non-append* mutation (Clear, Truncate,
-  /// mutable_rows). While shape_version() holds still, the table has only
-  /// grown at the tail, so incremental consumers (the statistics catalog)
-  /// may fold just the new suffix instead of rescanning (DESIGN.md §14).
-  uint64_t shape_version() const { return shape_version_; }
-
   /// Appends after checking arity and per-column type compatibility
   /// (NULL fits any column; INTEGER widens into DOUBLE columns).
   Status Append(Row row);
@@ -54,13 +48,11 @@ class Table {
   void Truncate(size_t n) {
     rows_.resize(std::min(n, rows_.size()));
     version_ = NextTableVersion();
-    shape_version_ = version_;
   }
 
   void Clear() {
     rows_.clear();
     version_ = NextTableVersion();
-    shape_version_ = version_;
   }
   void Reserve(size_t n) { rows_.reserve(n); }
 
@@ -68,7 +60,6 @@ class Table {
   /// Conservatively counts as a mutation.
   std::vector<Row>& mutable_rows() {
     version_ = NextTableVersion();
-    shape_version_ = version_;
     return rows_;
   }
 
@@ -80,7 +71,6 @@ class Table {
   Schema schema_;
   std::vector<Row> rows_;
   uint64_t version_ = NextTableVersion();
-  uint64_t shape_version_ = version_;
 };
 
 /// Checks that `value` may be stored in a column of type `type`, coercing

@@ -107,7 +107,7 @@ std::string CompressMiningPhases(const mr::MiningRunStats& stats) {
 StatementClass ClassifyStatement(std::string_view text) {
   const std::string keyword = FirstKeyword(text);
   if (keyword == "MINE") return StatementClass::kMineRule;
-  if (keyword == "SELECT" || keyword == "EXPLAIN" || keyword == "ANALYZE") {
+  if (keyword == "SELECT" || keyword == "EXPLAIN") {
     // NEXTVAL advances a shared catalog sequence even inside a SELECT, so
     // it must serialize with other writers. The substring test is
     // conservative (a string literal saying "nextval" also matches), which
@@ -308,7 +308,6 @@ Status Session::ExecuteClassified(std::string_view statement,
   // append this statement's own mr_runs row.
   sql::SqlEngine* engine = system_->sql_engine();
   engine->set_num_threads(options_.num_threads);
-  engine->set_cost_based(options_.cost_based_sql);
   if (options_.memory_limit != mr::MiningOptions::kMemoryLimitInherit) {
     engine->set_memory_limit(options_.memory_limit);
   }

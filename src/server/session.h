@@ -21,7 +21,7 @@ class Server;
 /// latch (snapshot reads); everything else serializes on the exclusive
 /// latch.
 enum class StatementClass {
-  kRead,      // SELECT / EXPLAIN / ANALYZE without side effects
+  kRead,      // SELECT / EXPLAIN without side effects
   kWrite,     // DML, DDL, NEXTVAL-touching SELECTs
   kMineRule,  // MINE RULE (write-class: creates/drops tables)
 };
@@ -84,7 +84,7 @@ class Session {
   const std::string& name() const { return name_; }
 
   /// Per-session execution options, applied to both MINE RULE runs and
-  /// (where applicable: threads, cost_based, memory_limit) plain SQL.
+  /// (where applicable: threads, memory_limit) plain SQL.
   /// Mutating them never affects other sessions.
   mr::MiningOptions* options() { return &options_; }
 

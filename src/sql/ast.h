@@ -335,12 +335,6 @@ struct UpdateStmt {
   ExprPtr where;  // null = update all rows
 };
 
-/// ANALYZE [<table>]: (re)collects catalog statistics (DESIGN.md §14) for
-/// one table, or for every table when no name is given.
-struct AnalyzeStmt {
-  std::string table;  // empty = all tables
-};
-
 /// A single parsed SQL statement (tagged union by unique ownership).
 struct Statement;
 
@@ -363,7 +357,6 @@ struct Statement {
     kDelete,
     kUpdate,
     kExplain,
-    kAnalyze,
   };
   Kind kind;
   std::unique_ptr<SelectStmt> select;
@@ -375,7 +368,6 @@ struct Statement {
   std::unique_ptr<DeleteStmt> del;
   std::unique_ptr<UpdateStmt> update;
   std::unique_ptr<ExplainStmt> explain;
-  std::unique_ptr<AnalyzeStmt> analyze;
 };
 
 }  // namespace minerule::sql

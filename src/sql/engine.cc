@@ -64,20 +64,7 @@ ExecContext SqlEngine::MakeContext() {
   ctx.num_threads = num_threads_;
   ctx.memory_limit = memory_limit_;
   ctx.spill_dir = spill_dir_;
-  ctx.cost_based = cost_based_;
-  ctx.stats = &statistics_;
-  ctx.feedback = &feedback_;
   return ctx;
-}
-
-void SqlEngine::RecordFeedback(const PlannedSelect& planned) {
-  for (const auto& [fingerprint, node] : planned.feedback) {
-    // Zero counts are ambiguous — a probe-skipped subtree never ran its
-    // scan — so only positive observations are trusted. Missing feedback
-    // degrades to formula estimates; it never changes results.
-    const int64_t observed = node->rows_out();
-    if (observed > 0) feedback_.Record(fingerprint, observed);
-  }
 }
 
 Result<QueryResult> SqlEngine::ExecuteStatement(Statement* stmt) {
@@ -100,8 +87,6 @@ Result<QueryResult> SqlEngine::ExecuteStatement(Statement* stmt) {
       return ExecuteUpdate(stmt->update.get());
     case Statement::Kind::kExplain:
       return ExecuteExplain(stmt->explain.get());
-    case Statement::Kind::kAnalyze:
-      return ExecuteAnalyze(stmt->analyze.get());
   }
   return Status::Internal("unknown statement kind");
 }
@@ -112,7 +97,6 @@ Result<QueryResult> SqlEngine::ExecuteSelect(SelectStmt* stmt) {
   MR_ASSIGN_OR_RETURN(PlannedSelect planned, planner.Plan(stmt));
   MR_ASSIGN_OR_RETURN(std::vector<Row> rows,
                       CollectRowsParallel(planned.node.get(), num_threads_));
-  RecordFeedback(planned);
 
   QueryResult result;
   result.schema = std::move(planned.out_schema);
@@ -158,7 +142,6 @@ Result<QueryResult> SqlEngine::ExecuteCreateTable(CreateTableStmt* stmt) {
       catalog_->DropTableIfExists(stmt->name);
       return status;
     }
-    RecordFeedback(planned);
     if (collect_operator_stats_) {
       result.profile = FlattenPlanProfile(planned.node.get());
     }
@@ -267,7 +250,6 @@ Result<QueryResult> SqlEngine::ExecuteInsert(InsertStmt* stmt) {
       MR_RETURN_IF_ERROR(planned.node->Open());
       MR_RETURN_IF_ERROR(
           DrainOpenedNode(planned.node.get(), num_threads_, append));
-      RecordFeedback(planned);
       if (collect_operator_stats_) {
         profile = FlattenPlanProfile(planned.node.get());
       }
@@ -338,7 +320,6 @@ Result<QueryResult> SqlEngine::ExecuteExplain(ExplainStmt* stmt) {
     planned.node->EnableTimingTree(true);
     MR_RETURN_IF_ERROR(
         CollectRowsParallel(planned.node.get(), num_threads_).status());
-    RecordFeedback(planned);
   }
 
   QueryResult result;
@@ -348,27 +329,6 @@ Result<QueryResult> SqlEngine::ExecuteExplain(ExplainStmt* stmt) {
   }
   if (stmt->analyze) {
     result.profile = FlattenPlanProfile(planned.node.get());
-  }
-  return result;
-}
-
-Result<QueryResult> SqlEngine::ExecuteAnalyze(AnalyzeStmt* stmt) {
-  // ANALYZE [table]: force a full statistics rebuild for one table or, with
-  // no argument, every catalog table. affected_rows reports the number of
-  // tables analyzed. Statistics also collect lazily during cost-based
-  // planning; ANALYZE exists for explicit refresh and for warming the
-  // mr_table_stats view.
-  QueryResult result;
-  std::vector<std::string> names;
-  if (stmt->table.empty()) {
-    names = catalog_->TableNames();
-  } else {
-    names.push_back(stmt->table);
-  }
-  for (const std::string& name : names) {
-    MR_ASSIGN_OR_RETURN(std::shared_ptr<Table> table, catalog_->GetTable(name));
-    statistics_.Analyze(*table);
-    ++result.affected_rows;
   }
   return result;
 }

@@ -10,7 +10,6 @@
 #include "relational/catalog.h"
 #include "sql/expr_eval.h"
 #include "sql/operators.h"
-#include "sql/statistics.h"
 
 namespace minerule::sql {
 
@@ -88,30 +87,14 @@ class SqlEngine {
   void set_spill_dir(std::string dir) { spill_dir_ = std::move(dir); }
   const std::string& spill_dir() const { return spill_dir_; }
 
-  /// Cost-based planning (DESIGN.md §14). When on, the planner estimates
-  /// cardinalities from catalog statistics (collected lazily, refreshed by
-  /// ANALYZE) plus observed-cardinality feedback from earlier executions,
-  /// and uses them to reorder joins, pick the hash-join build side, fall
-  /// back to row-at-a-time execution on tiny inputs and size the spill
-  /// fan-out. Off (the default) planning stays purely syntactic. Results
-  /// are bit-identical either way — the fuzz oracle's cost-based route
-  /// pins it.
-  void set_cost_based(bool on) { cost_based_ = on; }
-  bool cost_based() const { return cost_based_; }
-
-  /// The engine-owned statistics catalog and plan feedback store. Exposed
-  /// for tests and for mr_table_stats materialization.
-  StatisticsCatalog* statistics() { return &statistics_; }
-  PlanFeedback* feedback() { return &feedback_; }
+  /// No effect; kept only so the frozen benchmark driver compiles.
+  void set_cost_based(bool /*on*/) {}
 
   Catalog* catalog() { return catalog_; }
 
  private:
   /// Builds the per-statement execution context for planned statements.
   ExecContext MakeContext();
-  /// Feeds observed operator cardinalities back into feedback_ after a
-  /// planned statement ran to completion.
-  void RecordFeedback(const struct PlannedSelect& planned);
 
   Result<QueryResult> ExecuteStatement(struct Statement* stmt);
   Result<QueryResult> ExecuteSelect(struct SelectStmt* stmt);
@@ -123,7 +106,6 @@ class SqlEngine {
   Result<QueryResult> ExecuteDelete(struct DeleteStmt* stmt);
   Result<QueryResult> ExecuteUpdate(struct UpdateStmt* stmt);
   Result<QueryResult> ExecuteExplain(struct ExplainStmt* stmt);
-  Result<QueryResult> ExecuteAnalyze(struct AnalyzeStmt* stmt);
 
   Catalog* catalog_;
   HostVarMap host_vars_;
@@ -131,9 +113,6 @@ class SqlEngine {
   int num_threads_ = 1;
   int64_t memory_limit_ = -1;  // < 0 disables the budget
   std::string spill_dir_;      // empty means $TMPDIR or /tmp
-  bool cost_based_ = false;
-  StatisticsCatalog statistics_;
-  PlanFeedback feedback_;
 };
 
 }  // namespace minerule::sql

@@ -38,26 +38,6 @@ struct ExecContext {
   /// are created with mkstemp and unlinked immediately, so they never
   /// outlive the process even on a crash.
   std::string spill_dir;
-
-  /// Cost-based planning (DESIGN.md §14). When true the planner consults
-  /// `stats` and `feedback` to choose join order, hash-join build side and
-  /// the spill fan-out, and annotates EXPLAIN with estimates. Off (the
-  /// default), planning is purely syntactic — plan shapes and EXPLAIN output
-  /// are unchanged. Either way the delivered results are bit-identical (the
-  /// fuzz oracle pins this).
-  bool cost_based = false;
-
-  /// Catalog statistics and observed-cardinality feedback, owned by the
-  /// engine; may be null (planner falls back to syntactic planning).
-  class StatisticsCatalog* stats = nullptr;
-  class PlanFeedback* feedback = nullptr;
-
-  /// Spill partition fan-out for the budgeted operators. The default is the
-  /// historical kSpillPartitions; under cost-based planning the planner
-  /// sizes it from estimated input bytes vs the budget. Any value yields
-  /// bit-identical results — every spill path restores output order from
-  /// recorded input indexes, independent of partitioning (DESIGN.md §13).
-  size_t spill_partitions = 16;
 };
 
 /// Evaluates a *bound* expression against `row`. SQL three-valued logic:

@@ -126,8 +126,6 @@ void FlattenInto(ExecNode* node, int depth, std::vector<OperatorProfile>* out) {
   profile.depth = depth;
   profile.rows = node->rows_out();
   profile.micros = node->micros();
-  profile.est_rows = node->plan_est_rows();
-  profile.est_cost = node->plan_est_cost();
   node->AppendExtraCounters(&profile.counters);
   if (node->parallel_morsels() > 0) {
     profile.counters.emplace_back("workers", node->parallel_workers());
@@ -209,14 +207,6 @@ std::vector<std::string> RenderPlan(ExecNode* root, bool analyze) {
     if (op.depth > 0) line += "-> ";
     line += op.name;
     if (!op.detail.empty()) line += " (" + op.detail + ")";
-    if (op.est_rows >= 0) {
-      line += " est_rows=" +
-              std::to_string(static_cast<long long>(op.est_rows + 0.5));
-      if (op.est_cost >= 0) {
-        line += " est_cost=" +
-                std::to_string(static_cast<long long>(op.est_cost + 0.5));
-      }
-    }
     if (analyze) {
       char buf[64];
       std::snprintf(buf, sizeof(buf), " rows=%lld time=%.3fms",
@@ -290,53 +280,6 @@ Status RowsNode::EvaluateMorselImpl(size_t begin, size_t end,
                                     std::vector<Row>* out) {
   out->reserve(out->size() + (end - begin));
   for (size_t i = begin; i < end; ++i) out->push_back(rows_[i]);
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// RowNumberNode
-// ---------------------------------------------------------------------------
-
-namespace {
-
-Schema SchemaWithRowId(const Schema& base, const std::string& column_name) {
-  Schema schema = base;
-  schema.AddColumn(Column(column_name, DataType::kInteger));
-  return schema;
-}
-
-}  // namespace
-
-RowNumberNode::RowNumberNode(ExecNodePtr child, std::string column_name)
-    : ExecNode(SchemaWithRowId(child->schema(), column_name)),
-      child_(std::move(child)),
-      column_name_(std::move(column_name)) {}
-
-Status RowNumberNode::OpenImpl() {
-  pos_ = 0;
-  return child_->Open();
-}
-
-Result<bool> RowNumberNode::NextImpl(Row* out) {
-  MR_ASSIGN_OR_RETURN(bool more, child_->Next(out));
-  if (!more) return false;
-  out->push_back(Value::Integer(static_cast<int64_t>(pos_++)));
-  return true;
-}
-
-Status RowNumberNode::EvaluateMorselImpl(size_t begin, size_t end,
-                                         std::vector<Row>* out) {
-  // The child must be 1:1 over its input (the planner only wraps base
-  // scans), so row i of the morsel carries source index begin + i.
-  const size_t before = out->size();
-  MR_RETURN_IF_ERROR(child_->RunMorsel(begin, end, out));
-  if (out->size() - before != end - begin) {
-    return Status::Internal("RowNumber child is not 1:1 with its input");
-  }
-  for (size_t i = begin; i < end; ++i) {
-    (*out)[before + (i - begin)].push_back(
-        Value::Integer(static_cast<int64_t>(i)));
-  }
   return Status::OK();
 }
 
@@ -486,15 +429,14 @@ Result<bool> NestedLoopJoinNode::NextImpl(Row* out) {
 HashJoinNode::HashJoinNode(ExecNodePtr left, ExecNodePtr right,
                            std::vector<ExprPtr> left_keys,
                            std::vector<ExprPtr> right_keys, ExprPtr residual,
-                           ExecContext* ctx, bool swap_build)
+                           ExecContext* ctx)
     : ExecNode(ConcatSchemas(left->schema(), right->schema())),
       left_(std::move(left)),
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
       residual_(std::move(residual)),
-      ctx_(ctx),
-      swap_build_(swap_build) {
+      ctx_(ctx) {
   pure_ = ExprsNextValFree(left_keys_) && ExprsNextValFree(right_keys_) &&
           (residual_ == nullptr || !ContainsNextVal(*residual_));
 }
@@ -505,14 +447,13 @@ std::string HashJoinNode::detail() const {
     if (!out.empty()) out += " AND ";
     out += left_keys_[i]->ToSql() + " = " + right_keys_[i]->ToSql();
   }
-  if (swap_build_) out += " [build=left]";
   return out;
 }
 
 void HashJoinNode::AppendExtraCounters(
     std::vector<std::pair<std::string, int64_t>>* out) const {
   out->emplace_back("build_rows", build_rows_);
-  int64_t buckets = static_cast<int64_t>(hash_table_.size()) + swap_buckets_;
+  int64_t buckets = static_cast<int64_t>(hash_table_.size());
   for (const KeyBuckets& partition : partitions_) {
     buckets += static_cast<int64_t>(partition.size());
   }
@@ -521,7 +462,6 @@ void HashJoinNode::AppendExtraCounters(
   if (parallel_) {
     out->emplace_back("partitions", static_cast<int64_t>(partitions_.size()));
   }
-  if (swap_ready_) out->emplace_back("build_side_swapped", 1);
   if (probe_skipped_) out->emplace_back("probe_skipped", 1);
   if (spill_bytes_ > 0) {
     out->emplace_back("spill_bytes", spill_bytes_);
@@ -659,12 +599,6 @@ Status HashJoinNode::OpenImpl() {
   spill_partitions_ = 0;
   spill_.reset();
   probe_skipped_ = false;
-  swap_ready_ = false;
-  swap_build_rows_.clear();
-  swap_probe_rows_.clear();
-  swap_pairs_.clear();
-  swap_pos_ = 0;
-  swap_buckets_ = 0;
   const int num_threads = ctx_->num_threads;
   const bool budget = ctx_->memory_limit >= 0 && pure_;
   // Under a budget the join runs its budgeted serial path: the working set
@@ -673,14 +607,6 @@ Status HashJoinNode::OpenImpl() {
   // keep the in-memory serial path — re-ordering their evaluation on disk
   // would change observable side effects.
   parallel_ = pure_ && num_threads != 1 && ctx_->memory_limit < 0;
-
-  // Swapped build (cost-based planner): honored only on the pure,
-  // unbudgeted path — the budgeted grace join keeps its canonical build
-  // side, which is already result-identical by construction.
-  if (swap_build_ && pure_ && ctx_->memory_limit < 0) {
-    parallel_ = false;
-    return OpenSwapped(num_threads);
-  }
 
   MR_RETURN_IF_ERROR(right_->Open());
   if (budget) return OpenBudget();
@@ -741,125 +667,6 @@ Status HashJoinNode::OpenImpl() {
   return Status::OK();
 }
 
-Status HashJoinNode::OpenSwapped(int num_threads) {
-  // Build over the materialized left input: key -> left row indexes, kept
-  // in left order.
-  MR_RETURN_IF_ERROR(left_->Open());
-  const int64_t estimate = left_->EstimatedRowCount();
-  if (estimate > 0) swap_build_rows_.reserve(static_cast<size_t>(estimate));
-  MR_RETURN_IF_ERROR(
-      DrainOpenedNode(left_.get(), num_threads, &swap_build_rows_));
-  build_consumed_rows_ = static_cast<int64_t>(swap_build_rows_.size());
-  build_consumed_bytes_ = SampledRowsBytes(swap_build_rows_);
-
-  KeyBuckets table;
-  {
-    std::string key;
-    for (size_t i = 0; i < swap_build_rows_.size(); ++i) {
-      MR_ASSIGN_OR_RETURN(bool valid,
-                          EncodeKey(left_keys_, swap_build_rows_[i], &key));
-      if (!valid) continue;
-      table.Add(key, static_cast<uint32_t>(i));
-      ++build_rows_;
-    }
-  }
-  table.Seal();
-  swap_buckets_ = static_cast<int64_t>(table.size());
-  build_bytes_ = build_consumed_bytes_;
-  if (build_bytes_ > 0) {
-    GlobalMetrics()
-        .GetGauge("sql.join.build_peak_bytes")
-        ->UpdateMax(build_bytes_);
-  }
-  // From here on the node is a fixed source over swap_pairs_.
-  swap_ready_ = true;
-
-  // An empty build side joins nothing: skip the probe-side scan entirely
-  // when that subtree has no observable side effects to preserve.
-  if (build_rows_ == 0 && right_->SideEffectFree()) {
-    probe_skipped_ = true;
-    return Status::OK();
-  }
-
-  // Materialize the probe side and buffer matches as (left index, probe
-  // index) pairs; within a left row the probe indexes land in right-input
-  // order, so left-major emission reproduces the canonical (left-major,
-  // bucket-in-right-order) output exactly. Joined rows are only built at
-  // emission (SwappedRow), never here — buffering whole rows is what made
-  // the swap lose its build-side savings on cheap keys.
-  MR_RETURN_IF_ERROR(right_->Open());
-  const int64_t probe_estimate = right_->EstimatedRowCount();
-  if (probe_estimate > 0) {
-    swap_probe_rows_.reserve(static_cast<size_t>(probe_estimate));
-  }
-  MR_RETURN_IF_ERROR(
-      DrainOpenedNode(right_.get(), num_threads, &swap_probe_rows_));
-  const size_t total = swap_probe_rows_.size();
-  auto probe_range = [&](size_t begin, size_t end,
-                         std::vector<std::pair<size_t, size_t>>* out)
-      -> Status {
-    std::string key;  // per call: morsels probe concurrently
-    Row joined;
-    for (size_t i = begin; i < end; ++i) {
-      MR_ASSIGN_OR_RETURN(bool valid,
-                          EncodeKey(right_keys_, swap_probe_rows_[i], &key));
-      if (!valid) continue;
-      const auto [first, last] = table.Find(key);
-      for (const uint32_t* it = first; it != last; ++it) {
-        const size_t l = *it;
-        if (residual_ != nullptr) {
-          // Residuals are evaluated while buffering (the pair list must be
-          // final before morsel consumers index it); the transient joined
-          // row is the price of a residual on a swapped join.
-          ConcatInto(swap_build_rows_[l], swap_probe_rows_[i], &joined);
-          MR_ASSIGN_OR_RETURN(bool pass,
-                              EvalPredicate(*residual_, joined, ctx_));
-          if (!pass) continue;
-        }
-        out->emplace_back(l, i);
-      }
-    }
-    return Status::OK();
-  };
-  // Matches in probe order: one slot on the serial path, one per morsel
-  // (fixed boundaries, concatenated in morsel order) on the parallel one —
-  // the same sequence at any thread count.
-  std::vector<std::vector<std::pair<size_t, size_t>>> slots;
-  if (num_threads != 1) {
-    const size_t morsels = MorselCount(total, kMorselRows);
-    slots.resize(morsels);
-    std::vector<Status> statuses(morsels, Status::OK());
-    ParallelForMorsels(total, kMorselRows, num_threads,
-                       [&](size_t m, size_t begin, size_t end) {
-                         statuses[m] = probe_range(begin, end, &slots[m]);
-                       });
-    MR_RETURN_IF_ERROR(FirstError(statuses));
-    NoteWorkers(MorselWorkers(total, num_threads));
-    NoteDrivenMorsels(static_cast<int64_t>(morsels));
-  } else {
-    slots.resize(1);
-    MR_RETURN_IF_ERROR(probe_range(0, total, &slots[0]));
-  }
-
-  // Stable counting sort by left index: within one left row the matches
-  // keep probe order, so the result is the canonical left-major order.
-  std::vector<size_t> next(swap_build_rows_.size() + 1, 0);
-  for (const auto& slot : slots) {
-    for (const auto& match : slot) ++next[match.first + 1];
-  }
-  for (size_t l = 1; l < next.size(); ++l) next[l] += next[l - 1];
-  swap_pairs_.resize(next.back());
-  for (const auto& slot : slots) {
-    for (const auto& match : slot) swap_pairs_[next[match.first]++] = match;
-  }
-  return Status::OK();
-}
-
-void HashJoinNode::SwappedRow(size_t i, Row* out) const {
-  const auto& [l, r] = swap_pairs_[i];
-  ConcatInto(swap_build_rows_[l], swap_probe_rows_[r], out);
-}
-
 Result<bool> HashJoinNode::PullLeft(Row* out) {
   if (probe_skipped_) return false;
   if (parallel_) {
@@ -871,11 +678,6 @@ Result<bool> HashJoinNode::PullLeft(Row* out) {
 }
 
 Result<bool> HashJoinNode::NextImpl(Row* out) {
-  if (swap_ready_) {
-    if (swap_pos_ >= swap_pairs_.size()) return false;
-    SwappedRow(swap_pos_++, out);
-    return true;
-  }
   if (spill_ != nullptr) return NextSpill(out);
   while (true) {
     while (bucket_pos_ != bucket_end_) {
@@ -913,11 +715,6 @@ Status HashJoinNode::ProbeRow(const Row& left_row, std::string* key,
 
 Status HashJoinNode::EvaluateMorselImpl(size_t begin, size_t end,
                                         std::vector<Row>* out) {
-  if (swap_ready_) {
-    out->reserve(out->size() + (end - begin));
-    for (size_t i = begin; i < end; ++i) SwappedRow(i, &out->emplace_back());
-    return Status::OK();
-  }
   std::string key;  // per morsel: morsels probe concurrently
   for (size_t i = begin; i < end; ++i) {
     MR_RETURN_IF_ERROR(ProbeRow(left_rows_[i], &key, out));

@@ -38,10 +38,6 @@ struct OperatorProfile {
   int64_t rows = 0;    // rows produced
   int64_t micros = 0;  // inclusive wall time; 0 unless timing was enabled
   std::vector<std::pair<std::string, int64_t>> counters;
-  /// Cost-based-planner estimates (DESIGN.md §14); -1 when the planner ran
-  /// without statistics (the default, estimate-free EXPLAIN output).
-  double est_rows = -1;
-  double est_cost = -1;
 };
 
 /// Base class of the volcano-style (Open/Next) executor nodes. A node's
@@ -180,17 +176,6 @@ class ExecNode {
     for (ExecNode* child : children()) child->EnableTimingTree(enabled);
   }
 
-  /// Cost-based-planner estimates for EXPLAIN (DESIGN.md §14). Plan-static:
-  /// set once at plan time, never updated by execution; -1 (the default)
-  /// means "not estimated" and renders nothing, so estimate-free plans keep
-  /// their historical EXPLAIN output.
-  void SetPlanEstimates(double est_rows, double est_cost) {
-    plan_est_rows_ = est_rows;
-    plan_est_cost_ = est_cost;
-  }
-  double plan_est_rows() const { return plan_est_rows_; }
-  double plan_est_cost() const { return plan_est_cost_; }
-
  protected:
   virtual Status OpenImpl() = 0;
   virtual Result<bool> NextImpl(Row* out) = 0;
@@ -226,8 +211,6 @@ class ExecNode {
   }
 
   bool timing_ = false;
-  double plan_est_rows_ = -1;
-  double plan_est_cost_ = -1;
   std::atomic<int64_t> rows_out_{0};
   std::atomic<int64_t> nanos_{0};
   std::atomic<int64_t> morsels_{0};
@@ -425,42 +408,6 @@ class ProjectNode : public ExecNode {
   Row input_;          // the child's current row, reused across calls
 };
 
-/// Appends the 0-based source row index as a trailing INTEGER column
-/// (display name "#ridN"). The cost-based planner wraps each base scan of a
-/// reordered join with one of these; sorting the join output on the hidden
-/// rowid tuple restores the canonical (syntactic-order) row order exactly,
-/// because a left-deep hash-join chain emits rows in lexicographic
-/// source-index order (DESIGN.md §14). 1:1 with its input, so morsel ranges
-/// map directly to input indexes.
-class RowNumberNode : public ExecNode {
- public:
-  RowNumberNode(ExecNodePtr child, std::string column_name);
-  const char* name() const override { return "RowNumber"; }
-  std::string detail() const override { return column_name_; }
-  std::vector<ExecNode*> children() override { return {child_.get()}; }
-  bool SupportsMorsels() const override { return child_->SupportsMorsels(); }
-  size_t MorselInputRows() const override { return child_->MorselInputRows(); }
-  bool SideEffectFree() const override { return child_->SideEffectFree(); }
-  int64_t EstimatedRowCount() const override {
-    return child_->EstimatedRowCount();
-  }
-  void RecordParallelWorkers(int workers) override {
-    NoteWorkers(workers);
-    child_->RecordParallelWorkers(workers);
-  }
-
- protected:
-  Status OpenImpl() override;
-  Result<bool> NextImpl(Row* out) override;
-  Status EvaluateMorselImpl(size_t begin, size_t end,
-                            std::vector<Row>* out) override;
-
- private:
-  ExecNodePtr child_;
-  std::string column_name_;
-  size_t pos_ = 0;
-};
-
 /// Nested-loop join with optional residual predicate evaluated over the
 /// concatenated row. The right side is materialized at Open() for rescans.
 class NestedLoopJoinNode : public ExecNode {
@@ -514,28 +461,17 @@ class NestedLoopJoinNode : public ExecNode {
 /// side-effect free.
 class HashJoinNode : public ExecNode {
  public:
-  /// `swap_build` asks for the swapped build side (build over the *left*
-  /// input, stream the right) — chosen by the cost-based planner when the
-  /// left side is estimated much smaller (DESIGN.md §14). Honored only when
-  /// the expressions are pure and no memory budget is set; ignored
-  /// otherwise, falling back to the canonical right-side build. Output rows
-  /// and their order are identical either way: swapped mode groups matches
-  /// by probe-side arrival under each left row and emits them grouped in
-  /// left order, which reproduces the canonical left-outer/right-inner
-  /// emission order exactly.
   HashJoinNode(ExecNodePtr left, ExecNodePtr right,
                std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys,
-               ExprPtr residual, ExecContext* ctx, bool swap_build = false);
+               ExprPtr residual, ExecContext* ctx);
   ~HashJoinNode() override;
   const char* name() const override { return "HashJoin"; }
   std::string detail() const override;
   std::vector<ExecNode*> children() override {
     return {left_.get(), right_.get()};
   }
-  bool SupportsMorsels() const override { return parallel_ || swap_ready_; }
-  size_t MorselInputRows() const override {
-    return swap_ready_ ? swap_pairs_.size() : left_rows_.size();
-  }
+  bool SupportsMorsels() const override { return parallel_; }
+  size_t MorselInputRows() const override { return left_rows_.size(); }
   bool SideEffectFree() const override {
     return pure_ && left_->SideEffectFree() && right_->SideEffectFree();
   }
@@ -575,19 +511,6 @@ class HashJoinNode : public ExecNode {
   Status OpenBudget();
   Result<bool> NextSpill(Row* out);
 
-  /// Swapped-build path (swap_build constructor flag): materializes both
-  /// inputs, builds key -> left-row-index buckets over the (small) left
-  /// input, streams the right input through them (morsel-parallel when
-  /// num_threads != 1), and buffers each match as a (left index, right
-  /// index) pair, flattened in left-major order — the canonical output
-  /// order. Joined rows are constructed lazily at emission, so the swap
-  /// never materializes the output twice. After this the node is a plain
-  /// morsel source over swap_pairs_.
-  Status OpenSwapped(int num_threads);
-
-  /// Builds the i-th output row of the swapped join into *out.
-  void SwappedRow(size_t i, Row* out) const;
-
   ExecNodePtr left_;
   ExecNodePtr right_;
   std::vector<ExprPtr> left_keys_;
@@ -597,13 +520,6 @@ class HashJoinNode : public ExecNode {
   bool pure_ = false;      // keys + residual free of NEXTVAL
   bool parallel_ = false;  // decided at Open()
   bool probe_skipped_ = false;
-  const bool swap_build_;   // planner request (constructor)
-  bool swap_ready_ = false;  // swapped pairs materialized (decided at Open)
-  std::vector<Row> swap_build_rows_;  // materialized left input
-  std::vector<Row> swap_probe_rows_;  // materialized right input
-  std::vector<std::pair<size_t, size_t>> swap_pairs_;  // left-major matches
-  size_t swap_pos_ = 0;
-  int64_t swap_buckets_ = 0;
   std::vector<Row> build_side_rows_;    // build rows with non-NULL keys
   KeyBuckets hash_table_;               // serial mode
   std::vector<KeyBuckets> partitions_;  // parallel mode, size kJoinPartitions

@@ -58,14 +58,6 @@ Counter* AggSpillPartitionsCounter() {
   return counter;
 }
 
-/// Planner-chosen spill fan-out (ExecContext::spill_partitions), defaulting
-/// to the historical kSpillPartitions. Every spill path restores output
-/// order from recorded input indexes, so the fan-out never affects results —
-/// only how many partition files a scatter produces.
-size_t SpillFanOut(const ExecContext* ctx) {
-  return ctx->spill_partitions == 0 ? kSpillPartitions : ctx->spill_partitions;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -249,13 +241,12 @@ struct GraceJoin {
                  const std::vector<storage::SpillRun>& build_runs,
                  uint64_t build_records, const storage::SpillFile* probe_file,
                  const std::vector<storage::SpillRun>& probe_runs, int depth) {
-    const size_t fan_out = SpillFanOut(ctx);
     MR_ASSIGN_OR_RETURN(std::unique_ptr<storage::SpillFile> sub_build,
                         storage::SpillFile::Create(ctx->spill_dir));
     MR_ASSIGN_OR_RETURN(std::unique_ptr<storage::SpillFile> sub_probe,
                         storage::SpillFile::Create(ctx->spill_dir));
-    PartitionedSpillWriter build_writer(sub_build.get(), fan_out);
-    PartitionedSpillWriter probe_writer(sub_probe.get(), fan_out);
+    PartitionedSpillWriter build_writer(sub_build.get(), kSpillPartitions);
+    PartitionedSpillWriter probe_writer(sub_probe.get(), kSpillPartitions);
     std::string record;
     Row key;
     {
@@ -267,7 +258,7 @@ struct GraceJoin {
         MR_RETURN_IF_ERROR(
             storage::DecodeRow(record.data(), record.size(), &pos, &key));
         MR_RETURN_IF_ERROR(
-            build_writer.Add(SpillHash(key, depth) % fan_out, record));
+            build_writer.Add(SpillHash(key, depth) % kSpillPartitions, record));
       }
       MR_RETURN_IF_ERROR(build_writer.Finish());
     }
@@ -283,13 +274,13 @@ struct GraceJoin {
         MR_RETURN_IF_ERROR(
             storage::DecodeRow(record.data(), record.size(), &pos, &key));
         MR_RETURN_IF_ERROR(
-            probe_writer.Add(SpillHash(key, depth) % fan_out, record));
+            probe_writer.Add(SpillHash(key, depth) % kSpillPartitions, record));
       }
       MR_RETURN_IF_ERROR(probe_writer.Finish());
     }
     *spill_bytes += static_cast<int64_t>(sub_build->bytes_written() +
                                          sub_probe->bytes_written());
-    for (size_t p = 0; p < fan_out; ++p) {
+    for (size_t p = 0; p < kSpillPartitions; ++p) {
       MR_RETURN_IF_ERROR(Process(sub_build.get(), build_writer.runs(p),
                                  build_writer.records(p),
                                  build_writer.bytes(p), sub_probe.get(),
@@ -378,7 +369,6 @@ Status HashJoinNode::OpenBudget() {
   // scatter to key-hash partitions, the partitions are joined independently
   // and the outputs merge back into probe order.
   MemoryAccountant accountant("sql.join.build_peak_bytes", ctx_->memory_limit);
-  const size_t fan_out = SpillFanOut(ctx_);
   std::vector<std::pair<Row, Row>> buffer;  // (key, row) with non-NULL keys
   std::unique_ptr<storage::SpillFile> build_file;
   std::unique_ptr<PartitionedSpillWriter> build_writer;
@@ -392,7 +382,7 @@ Status HashJoinNode::OpenBudget() {
     record.clear();
     storage::EncodeRow(k, &record);
     storage::EncodeRow(r, &record);
-    return build_writer->Add(SpillHash(k, 0) % fan_out, record);
+    return build_writer->Add(SpillHash(k, 0) % kSpillPartitions, record);
   };
 
   while (true) {
@@ -416,7 +406,7 @@ Status HashJoinNode::OpenBudget() {
       MR_ASSIGN_OR_RETURN(build_file,
                           storage::SpillFile::Create(ctx_->spill_dir));
       build_writer = std::make_unique<PartitionedSpillWriter>(
-          build_file.get(), fan_out);
+          build_file.get(), kSpillPartitions);
       for (const auto& [buffered_key, buffered_row] : buffer) {
         MR_RETURN_IF_ERROR(spill_build(buffered_key, buffered_row));
       }
@@ -475,7 +465,7 @@ Status HashJoinNode::OpenBudget() {
   spill_->build_file = std::move(build_file);
   MR_ASSIGN_OR_RETURN(spill_->probe_file,
                       storage::SpillFile::Create(ctx_->spill_dir));
-  PartitionedSpillWriter probe_writer(spill_->probe_file.get(), fan_out);
+  PartitionedSpillWriter probe_writer(spill_->probe_file.get(), kSpillPartitions);
   uint64_t probe_index = 0;
   while (true) {
     MR_ASSIGN_OR_RETURN(bool more, left_->Next(&row));
@@ -488,7 +478,7 @@ Status HashJoinNode::OpenBudget() {
     storage::EncodeRow(key, &record);
     storage::EncodeRow(row, &record);
     MR_RETURN_IF_ERROR(
-        probe_writer.Add(SpillHash(key, 0) % fan_out, record));
+        probe_writer.Add(SpillHash(key, 0) % kSpillPartitions, record));
   }
   MR_RETURN_IF_ERROR(probe_writer.Finish());
   MR_ASSIGN_OR_RETURN(spill_->output,
@@ -501,7 +491,7 @@ Status HashJoinNode::OpenBudget() {
                   &spill_bytes_,
                   &spill_partitions_};
   const uint64_t total_build = static_cast<uint64_t>(build_rows_);
-  for (size_t p = 0; p < fan_out; ++p) {
+  for (size_t p = 0; p < kSpillPartitions; ++p) {
     MR_RETURN_IF_ERROR(grace.Process(
         spill_->build_file.get(), build_writer->runs(p),
         build_writer->records(p), build_writer->bytes(p),
@@ -597,7 +587,6 @@ Status HashAggregateNode::OpenBudget() {
   // tracked by the accountant.
   MemoryAccountant accountant("sql.aggregate.table_peak_bytes",
                               ctx_->memory_limit);
-  const size_t fan_out = SpillFanOut(ctx_);
   struct Tuple {
     uint64_t index = 0;
     Row key;
@@ -613,7 +602,7 @@ Status HashAggregateNode::OpenBudget() {
     storage::EncodeU64(tuple.index, &record);
     storage::EncodeRow(tuple.key, &record);
     storage::EncodeRow(tuple.args, &record);
-    return writer->Add(SpillHash(tuple.key, 0) % fan_out, record);
+    return writer->Add(SpillHash(tuple.key, 0) % kSpillPartitions, record);
   };
 
   Row row;
@@ -646,7 +635,7 @@ Status HashAggregateNode::OpenBudget() {
     buffer.push_back(std::move(tuple));
     if (accountant.OverBudget()) {
       MR_ASSIGN_OR_RETURN(file, storage::SpillFile::Create(ctx_->spill_dir));
-      writer = std::make_unique<PartitionedSpillWriter>(file.get(), fan_out);
+      writer = std::make_unique<PartitionedSpillWriter>(file.get(), kSpillPartitions);
       for (const Tuple& buffered : buffer) {
         MR_RETURN_IF_ERROR(spill_tuple(buffered));
       }
@@ -683,7 +672,7 @@ Status HashAggregateNode::OpenBudget() {
     MR_RETURN_IF_ERROR(writer->Finish());
     spill_bytes_ += static_cast<int64_t>(file->bytes_written());
     const uint64_t total = input_index;
-    for (size_t p = 0; p < fan_out; ++p) {
+    for (size_t p = 0; p < kSpillPartitions; ++p) {
       AggPartitionInput input;
       input.file = file.get();
       input.runs = &writer->runs(p);
@@ -727,8 +716,7 @@ Status HashAggregateNode::AggregatePartition(
     // recursion from chasing a single heavy group forever.
     MR_ASSIGN_OR_RETURN(std::unique_ptr<storage::SpillFile> file,
                         storage::SpillFile::Create(ctx_->spill_dir));
-    const size_t fan_out = SpillFanOut(ctx_);
-    PartitionedSpillWriter writer(file.get(), fan_out);
+    PartitionedSpillWriter writer(file.get(), kSpillPartitions);
     {
       PartitionReader reader(input.file, *input.runs);
       std::string record;
@@ -743,12 +731,12 @@ Status HashAggregateNode::AggregatePartition(
         MR_RETURN_IF_ERROR(
             storage::DecodeRow(record.data(), record.size(), &pos, &key));
         MR_RETURN_IF_ERROR(
-            writer.Add(SpillHash(key, depth) % fan_out, record));
+            writer.Add(SpillHash(key, depth) % kSpillPartitions, record));
       }
       MR_RETURN_IF_ERROR(writer.Finish());
     }
     spill_bytes_ += static_cast<int64_t>(file->bytes_written());
-    for (size_t p = 0; p < fan_out; ++p) {
+    for (size_t p = 0; p < kSpillPartitions; ++p) {
       AggPartitionInput child;
       child.file = file.get();
       child.runs = &writer.runs(p);

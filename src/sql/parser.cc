@@ -135,14 +135,6 @@ Result<Statement> Parser::ParseOneStatement() {
   if (CheckKeyword("INSERT")) return ParseInsert();
   if (CheckKeyword("DELETE")) return ParseDelete();
   if (CheckKeyword("UPDATE")) return ParseUpdate();
-  if (MatchKeyword("ANALYZE")) {
-    auto analyze = std::make_unique<AnalyzeStmt>();
-    if (Check(TokenType::kIdentifier)) analyze->table = Advance().text;
-    Statement stmt;
-    stmt.kind = Statement::Kind::kAnalyze;
-    stmt.analyze = std::move(analyze);
-    return stmt;
-  }
   if (MatchKeyword("EXPLAIN")) {
     auto explain = std::make_unique<ExplainStmt>();
     explain->analyze = MatchKeyword("ANALYZE");
@@ -158,7 +150,7 @@ Result<Statement> Parser::ParseOneStatement() {
   }
   return ErrorHere(
       "expected a statement (SELECT/CREATE/DROP/INSERT/UPDATE/DELETE/"
-      "ANALYZE/EXPLAIN)");
+      "EXPLAIN)");
 }
 
 Result<std::unique_ptr<SelectStmt>> Parser::ParseSelect() {

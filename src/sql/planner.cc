@@ -1,13 +1,9 @@
 #include "sql/planner.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 
 #include "common/string_util.h"
 #include "sql/parser.h"
-#include "sql/statistics.h"
 #include "sql/system_tables.h"
 
 namespace minerule::sql {
@@ -123,158 +119,7 @@ void RewriteMatches(ExprPtr* expr, const std::vector<const Expr*>& targets,
   }
 }
 
-// ---------------------------------------------------------------------------
-// Cost-based planning helpers (DESIGN.md §14). All estimates are advisory —
-// they steer plan shape only; results are bit-identical regardless.
-// ---------------------------------------------------------------------------
-
-/// Selectivity of a predicate the model knows nothing about.
-constexpr double kDefaultSel = 1.0 / 3.0;
-/// Equality against an unknown expression.
-constexpr double kEqDefaultSel = 0.1;
-/// The probe side must be this many times larger than the build side before
-/// a build-side swap pays for materializing the grouped matches.
-constexpr double kSwapBuildRatio = 4.0;
-/// Probe sides smaller than this never justify a swap.
-constexpr double kSwapMinProbeRows = 1024.0;
-/// A reordered join must beat the canonical order by this factor to cover
-/// the hidden-rowid restore sort it requires.
-constexpr double kReorderMargin = 1.2;
-/// Estimates never collapse to zero — a zero would erase every downstream
-/// product.
-constexpr double kMinEstRows = 0.05;
-
-double NumericOrNan(const Value& v) {
-  if (v.type() == DataType::kInteger || v.type() == DataType::kDouble) {
-    return v.AsDouble();
-  }
-  return std::numeric_limits<double>::quiet_NaN();
-}
-
-/// Column statistics for a bare column reference resolvable in `scope`
-/// (whose slots are the table's column positions); null otherwise.
-const ColumnStats* FindColumnStats(const Expr& e, const BindScope& scope,
-                                   const TableStats& stats) {
-  if (e.kind != ExprKind::kColumnRef) return nullptr;
-  const auto& ref = static_cast<const ColumnRefExpr&>(e);
-  Result<int> slot = scope.Resolve(ref.qualifier, ref.column);
-  if (!slot.ok()) return nullptr;
-  const size_t index = static_cast<size_t>(*slot);
-  if (index >= stats.columns.size()) return nullptr;
-  return &stats.columns[index];
-}
-
-/// Fraction of `cs` values below `lit`, interpolated over [min, max].
-double FractionBelow(const ColumnStats& cs, const Value& lit) {
-  const double v = NumericOrNan(lit);
-  const double lo = NumericOrNan(cs.min_value);
-  const double hi = NumericOrNan(cs.max_value);
-  if (std::isnan(v) || std::isnan(lo) || std::isnan(hi)) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  if (hi <= lo) return v >= lo ? 1.0 : 0.0;
-  return std::clamp((v - lo) / (hi - lo), 0.0, 1.0);
-}
-
-/// Selectivity of one WHERE conjunct over one table. `scope` is the table's
-/// own scope, so column references resolve to column positions.
-double ConjunctSelectivity(const Expr& e, const BindScope& scope,
-                           const TableStats& stats) {
-  double sel = kDefaultSel;
-  switch (e.kind) {
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(e);
-      const Expr* col = nullptr;
-      const Expr* other = nullptr;
-      BinaryOp op = b.op;
-      if (b.lhs->kind == ExprKind::kColumnRef) {
-        col = b.lhs.get();
-        other = b.rhs.get();
-      } else if (b.rhs->kind == ExprKind::kColumnRef) {
-        col = b.rhs.get();
-        other = b.lhs.get();
-        // Mirror the comparison so `col` reads as the left operand.
-        switch (op) {
-          case BinaryOp::kLess: op = BinaryOp::kGreater; break;
-          case BinaryOp::kLessEq: op = BinaryOp::kGreaterEq; break;
-          case BinaryOp::kGreater: op = BinaryOp::kLess; break;
-          case BinaryOp::kGreaterEq: op = BinaryOp::kLessEq; break;
-          default: break;
-        }
-      }
-      const ColumnStats* cs =
-          col != nullptr ? FindColumnStats(*col, scope, stats) : nullptr;
-      switch (op) {
-        case BinaryOp::kEq:
-          sel = cs != nullptr ? 1.0 / std::max(1.0, cs->Ndv()) : kEqDefaultSel;
-          break;
-        case BinaryOp::kNotEq:
-          sel = cs != nullptr ? 1.0 - 1.0 / std::max(1.0, cs->Ndv())
-                              : 1.0 - kEqDefaultSel;
-          break;
-        case BinaryOp::kLess:
-        case BinaryOp::kLessEq:
-        case BinaryOp::kGreater:
-        case BinaryOp::kGreaterEq: {
-          if (cs != nullptr && other != nullptr &&
-              other->kind == ExprKind::kLiteral) {
-            const double below = FractionBelow(
-                *cs, static_cast<const LiteralExpr&>(*other).value);
-            if (!std::isnan(below)) {
-              sel = (op == BinaryOp::kLess || op == BinaryOp::kLessEq)
-                        ? below
-                        : 1.0 - below;
-            }
-          }
-          break;
-        }
-        default:
-          break;
-      }
-      break;
-    }
-    case ExprKind::kBetween: {
-      const auto& bt = static_cast<const BetweenExpr&>(e);
-      double p = 0.25;
-      const ColumnStats* cs = FindColumnStats(*bt.operand, scope, stats);
-      if (cs != nullptr && bt.low->kind == ExprKind::kLiteral &&
-          bt.high->kind == ExprKind::kLiteral) {
-        const double lo = FractionBelow(
-            *cs, static_cast<const LiteralExpr&>(*bt.low).value);
-        const double hi = FractionBelow(
-            *cs, static_cast<const LiteralExpr&>(*bt.high).value);
-        if (!std::isnan(lo) && !std::isnan(hi)) p = std::max(hi - lo, 0.0);
-      }
-      sel = bt.negated ? 1.0 - p : p;
-      break;
-    }
-    case ExprKind::kInList: {
-      const auto& in = static_cast<const InListExpr&>(e);
-      double p = kDefaultSel;
-      const ColumnStats* cs = FindColumnStats(*in.operand, scope, stats);
-      if (cs != nullptr) {
-        p = std::min(1.0, static_cast<double>(in.list.size()) /
-                              std::max(1.0, cs->Ndv()));
-      }
-      sel = in.negated ? 1.0 - p : p;
-      break;
-    }
-    case ExprKind::kIsNull: {
-      const auto& isn = static_cast<const IsNullExpr&>(e);
-      double p = 0.5;
-      const ColumnStats* cs = FindColumnStats(*isn.operand, scope, stats);
-      if (cs != nullptr) p = cs->NullFraction();
-      sel = isn.negated ? 1.0 - p : p;
-      break;
-    }
-    default:
-      break;
-  }
-  if (std::isnan(sel)) sel = kDefaultSel;
-  return std::clamp(sel, 0.0005, 1.0);
-}
-
-/// Collects the column references of a conjunct, for the table-set masks.
+/// Collects the column references of a conjunct, for the ambiguity check.
 void CollectColumnRefs(const Expr& expr,
                        std::vector<const ColumnRefExpr*>* out) {
   switch (expr.kind) {
@@ -397,7 +242,7 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanTableRef(TableRef* ref,
   // consistent snapshot of the registries for the whole query.
   if (IsSystemTable(ref->name)) {
     MR_ASSIGN_OR_RETURN(auto materialized,
-                        MaterializeSystemTable(ref->name, ctx_->stats));
+                        MaterializeSystemTable(ref->name));
     BindScope scope;
     for (const Column& col : materialized.first.columns()) {
       scope.Add(ref->alias, col.name, col.type);
@@ -437,28 +282,6 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhere(
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(std::move(stmt->where), &conjuncts);
   MR_RETURN_IF_ERROR(CheckUnambiguous(conjuncts, scopes));
-
-  // Cost-based FROM/WHERE planning (DESIGN.md §14): only over plain base
-  // tables with NEXTVAL-free predicates; anything else — views, subqueries,
-  // system tables, sequence-advancing filters — keeps the purely syntactic
-  // path below.
-  if (ctx_->cost_based && ctx_->stats != nullptr && nodes.size() <= 64) {
-    bool eligible = true;
-    for (const TableRef& ref : stmt->from) {
-      if (ref.kind != TableRef::Kind::kBase || !catalog_->HasTable(ref.name)) {
-        eligible = false;
-        break;
-      }
-    }
-    for (const ExprPtr& c : conjuncts) {
-      if (!eligible) break;
-      if (ContainsNextVal(*c)) eligible = false;
-    }
-    if (eligible) {
-      return PlanFromWhereCostBased(stmt, std::move(nodes), std::move(scopes),
-                                    std::move(conjuncts));
-    }
-  }
 
   std::vector<bool> applied(conjuncts.size(), false);
 
@@ -569,494 +392,8 @@ Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhere(
   return std::make_pair(std::move(current), std::move(scope));
 }
 
-Result<std::pair<ExecNodePtr, BindScope>> Planner::PlanFromWhereCostBased(
-    SelectStmt* stmt, std::vector<ExecNodePtr> nodes,
-    std::vector<BindScope> scopes, std::vector<ExprPtr> conjuncts) {
-  const size_t n = nodes.size();
-  StatisticsCatalog& stats_catalog = *ctx_->stats;
-  PlanFeedback* feedback = ctx_->feedback;
-
-  // Aggregates in WHERE are a semantic error regardless of plan shape; the
-  // syntactic path reports them from apply_ready_filters, so check up front
-  // here before any conjunct is pushed down.
-  for (const ExprPtr& c : conjuncts) {
-    if (ContainsAggregate(*c)) {
-      return Status::SemanticError("aggregate not allowed in WHERE: " +
-                                   c->ToSql());
-    }
-  }
-
-  // --- Per-table statistics ------------------------------------------------
-  std::vector<std::shared_ptr<Table>> tables(n);
-  std::vector<const TableStats*> table_stats(n);
-  for (size_t i = 0; i < n; ++i) {
-    MR_ASSIGN_OR_RETURN(tables[i], catalog_->GetTable(stmt->from[i].name));
-    table_stats[i] = stats_catalog.GetOrCollect(*tables[i]);
-  }
-
-  // --- Conjunct classification ---------------------------------------------
-  // kLocal: bindable against a single table — pushed onto its scan.
-  // kJoin: equality whose sides bind against exactly one table each — an
-  // equi-join edge. kOther: everything else (cross-table range filters,
-  // three-table expressions); applied once all referenced tables joined.
-  struct ConjInfo {
-    enum class Use { kLocal, kJoin, kOther };
-    Use use = Use::kOther;
-    size_t local_table = 0;
-    size_t table_a = 0;
-    size_t table_b = 0;
-    double join_ndv = 1.0;
-    uint64_t mask = 0;  // tables whose columns the conjunct references
-    std::string sql;    // pre-binding snapshot, for fingerprints
-  };
-  std::vector<ConjInfo> info(conjuncts.size());
-  for (size_t c = 0; c < conjuncts.size(); ++c) {
-    ConjInfo& ci = info[c];
-    ci.sql = conjuncts[c]->ToSql();
-    std::vector<const ColumnRefExpr*> refs;
-    CollectColumnRefs(*conjuncts[c], &refs);
-    for (const ColumnRefExpr* ref : refs) {
-      for (size_t i = 0; i < n; ++i) {
-        if (scopes[i].CanResolve(ref->qualifier, ref->column)) {
-          ci.mask |= uint64_t{1} << i;
-        }
-      }
-    }
-    std::vector<size_t> bindable;
-    for (size_t i = 0; i < n; ++i) {
-      if (ExprBindableIn(*conjuncts[c], scopes[i])) bindable.push_back(i);
-    }
-    if (!bindable.empty()) {
-      ci.use = ConjInfo::Use::kLocal;
-      ci.local_table = bindable.front();
-      continue;
-    }
-    if (conjuncts[c]->kind == ExprKind::kBinary) {
-      auto* bin = static_cast<BinaryExpr*>(conjuncts[c].get());
-      if (bin->op == BinaryOp::kEq) {
-        auto side_table = [&](const Expr& side) -> int {
-          int found = -1;
-          for (size_t i = 0; i < n; ++i) {
-            if (ExprBindableIn(side, scopes[i])) {
-              if (found >= 0) return -2;  // ambiguous: treated as kOther
-              found = static_cast<int>(i);
-            }
-          }
-          return found;
-        };
-        const int ta = side_table(*bin->lhs);
-        const int tb = side_table(*bin->rhs);
-        if (ta >= 0 && tb >= 0 && ta != tb) {
-          ci.use = ConjInfo::Use::kJoin;
-          ci.table_a = static_cast<size_t>(ta);
-          ci.table_b = static_cast<size_t>(tb);
-          double ndv = 0.0;
-          const ColumnStats* ca =
-              FindColumnStats(*bin->lhs, scopes[ta], *table_stats[ta]);
-          const ColumnStats* cb =
-              FindColumnStats(*bin->rhs, scopes[tb], *table_stats[tb]);
-          if (ca != nullptr) ndv = std::max(ndv, ca->Ndv());
-          if (cb != nullptr) ndv = std::max(ndv, cb->Ndv());
-          if (ndv <= 0.0) {
-            // Expression keys: assume key-like behavior on the larger side.
-            ndv = std::max(
-                {1.0, static_cast<double>(table_stats[ta]->row_count),
-                 static_cast<double>(table_stats[tb]->row_count)});
-          }
-          ci.join_ndv = std::max(ndv, 1.0);
-        }
-      }
-    }
-  }
-
-  // --- Effective per-table estimates (after pushdown, feedback wins) ------
-  std::vector<std::vector<size_t>> local(n);
-  for (size_t c = 0; c < conjuncts.size(); ++c) {
-    if (info[c].use == ConjInfo::Use::kLocal) {
-      local[info[c].local_table].push_back(c);
-    }
-  }
-  std::vector<double> raw_rows(n);
-  std::vector<double> eff_rows(n);
-  std::vector<std::string> scan_fp(n);
-  for (size_t i = 0; i < n; ++i) {
-    raw_rows[i] = static_cast<double>(table_stats[i]->row_count);
-    double sel = 1.0;
-    std::vector<std::string> filter_sqls;
-    for (size_t c : local[i]) {
-      sel *= ConjunctSelectivity(*conjuncts[c], scopes[i], *table_stats[i]);
-      filter_sqls.push_back(info[c].sql);
-    }
-    std::sort(filter_sqls.begin(), filter_sqls.end());
-    // The table version embedded in the fingerprint invalidates feedback on
-    // any DML automatically.
-    std::string fp = "s|" + ToLower(tables[i]->name()) + "@v" +
-                     std::to_string(tables[i]->version()) + "|f=";
-    for (const std::string& s : filter_sqls) {
-      fp += s;
-      fp += '&';
-    }
-    scan_fp[i] = std::move(fp);
-    double est = raw_rows[i] * sel;
-    if (feedback != nullptr) {
-      const int64_t observed = feedback->Lookup(scan_fp[i]);
-      if (observed >= 0) est = static_cast<double>(observed);
-    }
-    eff_rows[i] = std::max(est, kMinEstRows);
-  }
-
-  // Order-independent fingerprint of an intermediate: the member scans plus
-  // every non-local predicate applied so far, both name-sorted.
-  auto set_fingerprint = [&](uint64_t members,
-                             std::vector<std::string> preds) -> std::string {
-    std::vector<std::string> fps;
-    for (size_t i = 0; i < n; ++i) {
-      if (members & (uint64_t{1} << i)) fps.push_back(scan_fp[i]);
-    }
-    std::sort(fps.begin(), fps.end());
-    std::sort(preds.begin(), preds.end());
-    std::string fp = "J|m=";
-    for (const std::string& f : fps) {
-      fp += f;
-      fp += ';';
-    }
-    fp += "|p=";
-    for (const std::string& p : preds) {
-      fp += p;
-      fp += '&';
-    }
-    return fp;
-  };
-
-  // --- Order search --------------------------------------------------------
-  // preview() estimates joining table t into the member set; advance()
-  // commits the step, consuming edges, applying newly-bindable cross-table
-  // filters and folding in observed cardinalities.
-  struct StepState {
-    uint64_t members = 0;
-    double est = 0.0;
-    double cost = 0.0;
-    std::vector<bool> used;
-    std::vector<std::string> preds;
-  };
-  auto edge_product = [&](const StepState& st, size_t t, bool commit,
-                          StepState* out_st) -> std::pair<double, bool> {
-    double ndv_prod = 1.0;
-    bool has_edge = false;
-    for (size_t c = 0; c < conjuncts.size(); ++c) {
-      if (st.used[c] || info[c].use != ConjInfo::Use::kJoin) continue;
-      const uint64_t m =
-          (uint64_t{1} << info[c].table_a) | (uint64_t{1} << info[c].table_b);
-      if ((m & (uint64_t{1} << t)) != 0 &&
-          (m & st.members & ~(uint64_t{1} << t)) != 0) {
-        has_edge = true;
-        ndv_prod *= info[c].join_ndv;
-        if (commit) {
-          out_st->used[c] = true;
-          out_st->preds.push_back(info[c].sql);
-        }
-      }
-    }
-    return {ndv_prod, has_edge};
-  };
-  auto preview = [&](const StepState& st, size_t t) -> std::pair<double, bool> {
-    auto [ndv_prod, has_edge] = edge_product(st, t, false, nullptr);
-    const double out = has_edge ? st.est * eff_rows[t] / ndv_prod
-                                : st.est * eff_rows[t];
-    return {std::max(out, kMinEstRows), has_edge};
-  };
-  auto advance = [&](StepState* st, size_t t) {
-    const double left = st->est;
-    auto [ndv_prod, has_edge] = edge_product(*st, t, true, st);
-    double out = has_edge ? left * eff_rows[t] / ndv_prod
-                          : left * eff_rows[t];
-    // Step cost: read both inputs and write the output; a cross join pays
-    // its full product.
-    st->cost += has_edge ? left + eff_rows[t] + out
-                         : left * eff_rows[t] + out;
-    st->members |= uint64_t{1} << t;
-    for (size_t c = 0; c < conjuncts.size(); ++c) {
-      if (st->used[c] || info[c].use != ConjInfo::Use::kOther) continue;
-      if (info[c].mask != 0 && (info[c].mask & ~st->members) == 0) {
-        st->used[c] = true;
-        st->preds.push_back(info[c].sql);
-        out *= kDefaultSel;
-      }
-    }
-    out = std::max(out, kMinEstRows);
-    if (feedback != nullptr) {
-      const int64_t observed =
-          feedback->Lookup(set_fingerprint(st->members, st->preds));
-      if (observed >= 0) {
-        out = std::max(static_cast<double>(observed), kMinEstRows);
-      }
-    }
-    st->est = out;
-  };
-  auto init_state = [&](size_t start) {
-    StepState st;
-    st.members = uint64_t{1} << start;
-    st.est = eff_rows[start];
-    st.used.assign(conjuncts.size(), false);
-    return st;
-  };
-
-  std::vector<size_t> canonical(n);
-  for (size_t i = 0; i < n; ++i) canonical[i] = i;
-  std::vector<size_t> order = canonical;
-  bool reorder = false;
-  if (n >= 3) {
-    StepState canonical_sim = init_state(0);
-    for (size_t k = 1; k < n; ++k) advance(&canonical_sim, canonical[k]);
-    std::vector<size_t> best_order;
-    double best_cost = std::numeric_limits<double>::infinity();
-    double best_rows = 0.0;
-    for (size_t start = 0; start < n; ++start) {
-      StepState st = init_state(start);
-      std::vector<size_t> ord{start};
-      while (ord.size() < n) {
-        size_t pick = n;
-        double pick_out = 0.0;
-        bool pick_edge = false;
-        for (size_t t = 0; t < n; ++t) {
-          if (st.members & (uint64_t{1} << t)) continue;
-          auto [out, edge] = preview(st, t);
-          const bool better = (edge && !pick_edge) ||
-                              (edge == pick_edge && out < pick_out);
-          if (pick == n || better) {
-            pick = t;
-            pick_out = out;
-            pick_edge = edge;
-          }
-        }
-        advance(&st, pick);
-        ord.push_back(pick);
-      }
-      if (st.cost < best_cost) {
-        best_cost = st.cost;
-        best_order = std::move(ord);
-        best_rows = st.est;
-      }
-    }
-    // The hidden-rowid restore sort re-materializes the output, so a
-    // reorder must clear that bar with margin before it is adopted.
-    if (best_order != canonical &&
-        (best_cost + 2.0 * best_rows) * kReorderMargin < canonical_sim.cost) {
-      order = std::move(best_order);
-      reorder = true;
-    }
-  }
-
-  // --- Physical build ------------------------------------------------------
-  // Per-table pipeline: scan, pushed-down local filters and — when the join
-  // order deviates from FROM order — a hidden ascending row number. The
-  // canonical left-deep plan emits rows in lexicographic source-row-index
-  // order (joins stream the left side and emit right matches in input
-  // order), so sorting the reordered output by the hidden row numbers in
-  // canonical table order reproduces the canonical row order exactly.
-  std::vector<bool> applied(conjuncts.size(), false);
-  std::vector<BindScope> pipe_scopes = scopes;
-  std::vector<ExecNodePtr> pipes(n);
-  const bool collect_feedback = feedback != nullptr;
-  for (size_t i = 0; i < n; ++i) {
-    ExecNodePtr node = std::move(nodes[i]);
-    if (reorder) {
-      // Number the raw scan rows (below any pushed filter — the filter is
-      // not 1:1 with its input, the scan is). Surviving rows keep their
-      // source index, and the canonical order is source-index order, so
-      // numbering before filtering restores it just the same.
-      const std::string rid = "#rid" + std::to_string(i);
-      pipe_scopes[i].Add("", rid, DataType::kInteger);
-      node = std::make_unique<RowNumberNode>(std::move(node), rid);
-    }
-    std::vector<ExprPtr> ready;
-    for (size_t c : local[i]) {
-      // Bound against the rid-free scope: the rid is the trailing column,
-      // so original slot indexes are unchanged.
-      MR_RETURN_IF_ERROR(BindExpr(conjuncts[c].get(), scopes[i], false));
-      ready.push_back(std::move(conjuncts[c]));
-      applied[c] = true;
-    }
-    if (ExprPtr pred = AndTogether(std::move(ready))) {
-      node =
-          std::make_unique<FilterNode>(std::move(node), std::move(pred), ctx_);
-    }
-    node->SetPlanEstimates(eff_rows[i], raw_rows[i]);
-    if (collect_feedback) {
-      feedback_points_.emplace_back(scan_fp[i], node.get());
-    }
-    pipes[i] = std::move(node);
-  }
-
-  StepState run = init_state(order[0]);
-  ExecNodePtr current = std::move(pipes[order[0]]);
-  BindScope scope = pipe_scopes[order[0]];
-
-  auto apply_ready_filters = [&]() -> Status {
-    std::vector<ExprPtr> ready;
-    for (size_t c = 0; c < conjuncts.size(); ++c) {
-      if (applied[c] || conjuncts[c] == nullptr) continue;
-      if (ExprBindableIn(*conjuncts[c], scope)) {
-        MR_RETURN_IF_ERROR(BindExpr(conjuncts[c].get(), scope, false));
-        ready.push_back(std::move(conjuncts[c]));
-        applied[c] = true;
-      }
-    }
-    if (ExprPtr pred = AndTogether(std::move(ready))) {
-      current = std::make_unique<FilterNode>(std::move(current),
-                                               std::move(pred), ctx_);
-      current->SetPlanEstimates(run.est, run.est);
-    }
-    return Status::OK();
-  };
-  MR_RETURN_IF_ERROR(apply_ready_filters());
-
-  for (size_t k = 1; k < n; ++k) {
-    const size_t t = order[k];
-    std::vector<ExprPtr> left_keys;
-    std::vector<ExprPtr> right_keys;
-    for (size_t c = 0; c < conjuncts.size(); ++c) {
-      if (applied[c] || conjuncts[c] == nullptr ||
-          conjuncts[c]->kind != ExprKind::kBinary) {
-        continue;
-      }
-      auto* bin = static_cast<BinaryExpr*>(conjuncts[c].get());
-      if (bin->op != BinaryOp::kEq) continue;
-      ExprPtr* left_side = nullptr;
-      ExprPtr* right_side = nullptr;
-      if (ExprBindableIn(*bin->lhs, scope) &&
-          ExprBindableIn(*bin->rhs, pipe_scopes[t])) {
-        left_side = &bin->lhs;
-        right_side = &bin->rhs;
-      } else if (ExprBindableIn(*bin->rhs, scope) &&
-                 ExprBindableIn(*bin->lhs, pipe_scopes[t])) {
-        left_side = &bin->rhs;
-        right_side = &bin->lhs;
-      } else {
-        continue;
-      }
-      if (ExprBindableIn(**right_side, scope) ||
-          ExprBindableIn(**left_side, pipe_scopes[t])) {
-        continue;
-      }
-      MR_RETURN_IF_ERROR(BindExpr(left_side->get(), scope, false));
-      MR_RETURN_IF_ERROR(BindExpr(right_side->get(), pipe_scopes[t], false));
-      left_keys.push_back(std::move(*left_side));
-      right_keys.push_back(std::move(*right_side));
-      applied[c] = true;
-    }
-
-    const double left_est = run.est;
-    advance(&run, t);
-    if (!left_keys.empty()) {
-      // Build over the smaller input: the canonical node builds over its
-      // right child, so a much larger right input gets a build-side swap.
-      // The swapped mode emits the canonical output order exactly and is
-      // honored only on the pure unbudgeted path.
-      const bool swap = ctx_->memory_limit < 0 &&
-                        eff_rows[t] >= kSwapMinProbeRows &&
-                        left_est * kSwapBuildRatio < eff_rows[t];
-      current = std::make_unique<HashJoinNode>(
-          std::move(current), std::move(pipes[t]), std::move(left_keys),
-          std::move(right_keys), nullptr, ctx_, swap);
-    } else {
-      current = std::make_unique<NestedLoopJoinNode>(
-          std::move(current), std::move(pipes[t]), nullptr, ctx_);
-    }
-    current->SetPlanEstimates(run.est, left_est + eff_rows[t] + run.est);
-    scope.Append(pipe_scopes[t]);
-    MR_RETURN_IF_ERROR(apply_ready_filters());
-    if (collect_feedback) {
-      feedback_points_.emplace_back(set_fingerprint(run.members, run.preds),
-                                    current.get());
-    }
-  }
-
-  for (size_t c = 0; c < conjuncts.size(); ++c) {
-    if (!applied[c] && conjuncts[c] != nullptr) {
-      // Produce the precise binding error.
-      MR_RETURN_IF_ERROR(BindExpr(conjuncts[c].get(), scope, false));
-      return Status::Internal("conjunct bindable but not applied: " +
-                              conjuncts[c]->ToSql());
-    }
-  }
-
-  if (reorder) {
-    // Restore the canonical row order (sort by the hidden row numbers in
-    // canonical table order — the key tuple is unique per output row) and
-    // the canonical column layout.
-    std::vector<size_t> offsets(n, 0);
-    size_t off = 0;
-    for (size_t k = 0; k < n; ++k) {
-      offsets[order[k]] = off;
-      off += pipe_scopes[order[k]].size();
-    }
-    std::vector<SortNode::SortKey> keys;
-    for (size_t i = 0; i < n; ++i) {
-      const size_t rid_slot = offsets[i] + pipe_scopes[i].size() - 1;
-      SortNode::SortKey key;
-      key.expr = std::make_unique<SlotRefExpr>(
-          static_cast<int>(rid_slot), DataType::kInteger,
-          "#rid" + std::to_string(i));
-      keys.push_back(std::move(key));
-    }
-    current = std::make_unique<SortNode>(std::move(current), std::move(keys),
-                                         ctx_);
-    current->SetPlanEstimates(run.est, run.est);
-
-    std::vector<ExprPtr> restore_exprs;
-    Schema restore_schema;
-    BindScope restore_scope;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t c = 0; c < scopes[i].size(); ++c) {
-        const BoundColumn& col = scopes[i].column(c);
-        restore_exprs.push_back(std::make_unique<SlotRefExpr>(
-            static_cast<int>(offsets[i] + c), col.type, col.name));
-        restore_schema.AddColumn(Column(col.name, col.type));
-        restore_scope.Add(col.qualifier, col.name, col.type);
-      }
-    }
-    current = std::make_unique<ProjectNode>(
-        std::move(current), std::move(restore_exprs), restore_schema, ctx_);
-    current->SetPlanEstimates(run.est, run.est);
-    scope = std::move(restore_scope);
-  }
-
-  return std::make_pair(std::move(current), std::move(scope));
-}
-
 Result<PlannedSelect> Planner::Plan(SelectStmt* stmt) {
-  TuneExecution(stmt);
-  MR_ASSIGN_OR_RETURN(PlannedSelect planned, PlanImpl(stmt, 0));
-  planned.feedback = std::move(feedback_points_);
-  feedback_points_.clear();
-  return planned;
-}
-
-void Planner::TuneExecution(SelectStmt* stmt) {
-  if (!ctx_->cost_based || ctx_->stats == nullptr || ctx_->memory_limit < 0) {
-    return;
-  }
-  int64_t max_bytes = 0;
-  for (const TableRef& ref : stmt->from) {
-    if (ref.kind != TableRef::Kind::kBase || !catalog_->HasTable(ref.name)) {
-      return;  // unknown inputs: leave the execution knobs alone
-    }
-    Result<std::shared_ptr<Table>> table = catalog_->GetTable(ref.name);
-    if (!table.ok()) return;
-    const TableStats* stats = ctx_->stats->GetOrCollect(**table);
-    max_bytes = std::max(max_bytes, stats->total_row_bytes);
-  }
-  // Spill fan-out: enough partitions that one partition of the largest
-  // table fits the budget, within [16, 64]. Partitioning never affects
-  // results — every spill path restores output order from recorded input
-  // indexes (DESIGN.md §13).
-  const int64_t budget = std::max<int64_t>(ctx_->memory_limit, 1);
-  size_t fan = 16;
-  while (fan < 64 && max_bytes / static_cast<int64_t>(fan) > budget) {
-    fan *= 2;
-  }
-  ctx_->spill_partitions = fan;
+  return PlanImpl(stmt, 0);
 }
 
 Result<PlannedSelect> Planner::PlanImpl(SelectStmt* stmt, int depth) {
@@ -1321,9 +658,6 @@ Result<PlannedSelect> Planner::PlanImpl(SelectStmt* stmt, int depth) {
 
   if (stmt->limit.has_value()) {
     node = std::make_unique<LimitNode>(std::move(node), *stmt->limit);
-    // LIMIT terminates execution early, so observed row counts anywhere in
-    // this statement would be undercounts — record no feedback at all.
-    feedback_points_.clear();
   }
 
   PlannedSelect result;

@@ -18,12 +18,6 @@ namespace minerule::sql {
 struct PlannedSelect {
   ExecNodePtr node;
   Schema out_schema;
-
-  /// Cost-based mode only: (fingerprint, node) pairs whose observed row
-  /// counts the engine records into PlanFeedback after the plan ran to
-  /// completion. Empty when the statement carries a LIMIT anywhere (early
-  /// termination would record undercounts) or cost-based planning is off.
-  std::vector<std::pair<std::string, const ExecNode*>> feedback;
 };
 
 /// Translates SELECT ASTs into executor trees.
@@ -35,17 +29,9 @@ struct PlannedSelect {
 /// nested-loop (cross) join. Every conjunct is applied as a filter at the
 /// lowest level where all its columns are visible. This is what makes the
 /// preprocessor's multi-way encoding joins (Q4) and the elementary-rule
-/// self-join (Q8) run in roughly linear time.
-///
-/// Under ExecContext::cost_based (DESIGN.md §14) the planner additionally
-/// estimates cardinalities from catalog statistics and plan feedback and
-/// uses them to (a) push pure single-table conjuncts onto their scans,
-/// (b) reorder joins when a cheaper left-deep order exists — restoring the
-/// canonical output order afterwards through hidden per-table row numbers
-/// and a final sort, (c) build each hash join over its smaller input, and
-/// (d) fall back to row-at-a-time execution on tiny inputs and size the
-/// spill fan-out. Every one of these choices is result-transparent: the
-/// fuzz oracle byte-compares cost-based runs against the syntactic plan.
+/// self-join (Q8) run in roughly linear time. There are no statistics and
+/// no cost model: the translator's fixed-shape Q-program already names its
+/// tables in a good join order (DESIGN.md §14).
 class Planner {
  public:
   Planner(Catalog* catalog, ExecContext* ctx)
@@ -64,19 +50,8 @@ class Planner {
   Result<std::pair<ExecNodePtr, BindScope>> PlanFromWhere(SelectStmt* stmt,
                                                           int depth);
 
-  /// Cost-based FROM/WHERE planning; preconditions checked by the caller
-  /// (every FROM entry is a base table, no conjunct contains NEXTVAL).
-  Result<std::pair<ExecNodePtr, BindScope>> PlanFromWhereCostBased(
-      SelectStmt* stmt, std::vector<ExecNodePtr> nodes,
-      std::vector<BindScope> scopes, std::vector<ExprPtr> conjuncts);
-
-  /// Cost-mode execution tuning decided once per top-level statement: spill
-  /// fan-out sizing under a memory budget.
-  void TuneExecution(SelectStmt* stmt);
-
   Catalog* catalog_;
   ExecContext* ctx_;
-  std::vector<std::pair<std::string, const ExecNode*>> feedback_points_;
 };
 
 }  // namespace minerule::sql

@@ -7,7 +7,6 @@
 #include "common/string_util.h"
 #include "common/trace.h"
 #include "sql/statement_registry.h"
-#include "sql/statistics.h"
 
 namespace minerule::sql {
 
@@ -67,17 +66,6 @@ Schema MetricsSchema() {
                  {"p50", DataType::kDouble},
                  {"p95", DataType::kDouble},
                  {"p99", DataType::kDouble}});
-}
-
-Schema TableStatsSchema() {
-  return Schema({{"table_name", DataType::kString},
-                 {"column_name", DataType::kString},
-                 {"row_count", DataType::kInteger},
-                 {"ndv", DataType::kInteger},
-                 {"min_value", DataType::kString},
-                 {"max_value", DataType::kString},
-                 {"null_frac", DataType::kDouble},
-                 {"stats_epoch", DataType::kInteger}});
 }
 
 Schema SessionsSchema() {
@@ -181,30 +169,6 @@ std::vector<Row> MetricsRows() {
   return rows;
 }
 
-std::vector<Row> TableStatsRows(const StatisticsCatalog* stats) {
-  std::vector<Row> rows;
-  if (stats == nullptr) return rows;
-  for (const auto& [table_name, table_stats] : stats->Entries()) {
-    for (size_t c = 0; c < table_stats->columns.size(); ++c) {
-      const ColumnStats& col = table_stats->columns[c];
-      const std::string column_name =
-          c < table_stats->column_names.size() ? table_stats->column_names[c]
-                                               : std::to_string(c);
-      rows.push_back(
-          {Value::String(table_name), Value::String(column_name),
-           Value::Integer(table_stats->row_count),
-           Value::Integer(static_cast<int64_t>(col.Ndv() + 0.5)),
-           col.min_value.is_null() ? Value::Null()
-                                   : Value::String(col.min_value.ToString()),
-           col.max_value.is_null() ? Value::Null()
-                                   : Value::String(col.max_value.ToString()),
-           Value::Double(col.NullFraction()),
-           Value::Integer(table_stats->epoch)});
-    }
-  }
-  return rows;
-}
-
 std::vector<Row> SessionsRows() {
   std::vector<Row> rows;
   for (const SessionSnapshot& s : GlobalStatementRegistry().Sessions()) {
@@ -301,9 +265,9 @@ ObservabilityRegistry& GlobalObservability() {
 
 const std::vector<std::string>& SystemTableNames() {
   static const std::vector<std::string>* names = new std::vector<std::string>{
-      "mr_runs",        "mr_query_profile",     "mr_operator_stats",
-      "mr_metrics",     "mr_trace_spans",       "mr_table_stats",
-      "mr_sessions",    "mr_active_statements", "mr_slow_queries"};
+      "mr_runs",     "mr_query_profile", "mr_operator_stats",
+      "mr_metrics",  "mr_trace_spans",   "mr_sessions",
+      "mr_active_statements", "mr_slow_queries"};
   return *names;
 }
 
@@ -320,7 +284,6 @@ Result<Schema> SystemTableSchema(const std::string& name) {
   if (lower == "mr_operator_stats") return OperatorStatsSchema();
   if (lower == "mr_metrics") return MetricsSchema();
   if (lower == "mr_trace_spans") return TraceSpansSchema();
-  if (lower == "mr_table_stats") return TableStatsSchema();
   if (lower == "mr_sessions") return SessionsSchema();
   if (lower == "mr_active_statements") return ActiveStatementsSchema();
   if (lower == "mr_slow_queries") return SlowQueriesSchema();
@@ -328,7 +291,7 @@ Result<Schema> SystemTableSchema(const std::string& name) {
 }
 
 Result<std::pair<Schema, std::vector<Row>>> MaterializeSystemTable(
-    const std::string& name, const StatisticsCatalog* stats) {
+    const std::string& name) {
   MR_ASSIGN_OR_RETURN(Schema schema, SystemTableSchema(name));
   const std::string lower = ToLower(name);
   std::vector<Row> rows;
@@ -336,8 +299,6 @@ Result<std::pair<Schema, std::vector<Row>>> MaterializeSystemTable(
     rows = MetricsRows();
   } else if (lower == "mr_trace_spans") {
     rows = TraceSpansRows();
-  } else if (lower == "mr_table_stats") {
-    rows = TableStatsRows(stats);
   } else if (lower == "mr_sessions") {
     rows = SessionsRows();
   } else if (lower == "mr_active_statements") {

@@ -14,7 +14,7 @@
 namespace minerule::sql {
 
 // ---------------------------------------------------------------------------
-// Queryable telemetry (DESIGN.md §11, §16): nine virtual mr_* tables
+// Queryable telemetry (DESIGN.md §11, §16): eight virtual mr_* tables
 // materialized on scan from the process-wide registries, so the embedded SQL
 // engine can query its own execution history — the same tight coupling the
 // paper argues for applied to the system's introspection:
@@ -83,7 +83,7 @@ class ObservabilityRegistry {
 
 ObservabilityRegistry& GlobalObservability();
 
-/// True for the nine mr_* system tables (case-insensitive).
+/// True for the eight mr_* system tables (case-insensitive).
 bool IsSystemTable(const std::string& name);
 
 /// The system-table names in display order.
@@ -94,14 +94,11 @@ Result<Schema> SystemTableSchema(const std::string& name);
 
 /// Materializes the current contents of a system table. Row order is
 /// deterministic: history tables in run order, mr_metrics sorted by name,
-/// mr_trace_spans in (tid, record order), mr_table_stats in (table, column
-/// position) order, mr_sessions in session-id order, mr_active_statements
-/// in statement-id order, mr_slow_queries oldest first. `stats` feeds
-/// mr_table_stats — it shows the entries the engine's statistics catalog
-/// has already collected (via planning under cost-based mode or ANALYZE);
-/// null yields an empty table, never an error.
+/// mr_trace_spans in (tid, record order), mr_sessions in session-id order,
+/// mr_active_statements in statement-id order, mr_slow_queries oldest
+/// first.
 Result<std::pair<Schema, std::vector<Row>>> MaterializeSystemTable(
-    const std::string& name, const class StatisticsCatalog* stats = nullptr);
+    const std::string& name);
 
 }  // namespace minerule::sql
 

@@ -1,9 +1,7 @@
 #include "storage/posix_file.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -13,8 +11,6 @@ namespace minerule::storage {
 
 namespace {
 
-std::atomic<uint64_t> g_next_file_id{1};
-
 Status ErrnoStatus(const std::string& what, const std::string& path) {
   return Status::ExecutionError(what + " failed for '" + path +
                                 "': " + std::strerror(errno));
@@ -23,21 +19,10 @@ Status ErrnoStatus(const std::string& what, const std::string& path) {
 }  // namespace
 
 PosixFile::PosixFile(int fd, std::string path)
-    : fd_(fd),
-      id_(g_next_file_id.fetch_add(1, std::memory_order_relaxed)),
-      path_(std::move(path)) {}
+    : fd_(fd), path_(std::move(path)) {}
 
 PosixFile::~PosixFile() {
   if (fd_ >= 0) ::close(fd_);
-}
-
-Result<std::unique_ptr<PosixFile>> PosixFile::Open(const std::string& path,
-                                                   bool create) {
-  int flags = O_RDWR | O_CLOEXEC;
-  if (create) flags |= O_CREAT;
-  int fd = ::open(path.c_str(), flags, 0644);
-  if (fd < 0) return ErrnoStatus("open", path);
-  return std::unique_ptr<PosixFile>(new PosixFile(fd, path));
 }
 
 Result<std::unique_ptr<PosixFile>> PosixFile::CreateTemp(
@@ -114,11 +99,6 @@ Status PosixFile::Truncate(uint64_t size) {
   if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
     return ErrnoStatus("ftruncate", path_);
   }
-  return Status::OK();
-}
-
-Status PosixFile::Sync() {
-  if (::fsync(fd_) != 0) return ErrnoStatus("fsync", path_);
   return Status::OK();
 }
 

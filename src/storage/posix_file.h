@@ -10,16 +10,10 @@
 namespace minerule::storage {
 
 /// Thin RAII wrapper over a POSIX file descriptor with positional I/O
-/// (pread/pwrite), the page store underneath the buffer pool and the spill
-/// files. No internal buffering: callers (BufferPool, SpillFile) manage
-/// their own caching.
+/// (pread/pwrite), the store underneath the spill files. No internal
+/// buffering: the caller (SpillFile) manages its own.
 class PosixFile {
  public:
-  /// Opens (or with `create`, creates/truncates-nothing) a file for
-  /// read/write. Created files get mode 0644.
-  static Result<std::unique_ptr<PosixFile>> Open(const std::string& path,
-                                                 bool create);
-
   /// Creates an anonymous temp file in `dir` (empty means $TMPDIR or /tmp):
   /// mkstemp followed by an immediate unlink, so the data lives only as
   /// long as the descriptor and can never be leaked into the filesystem,
@@ -42,17 +36,11 @@ class PosixFile {
 
   Result<uint64_t> Size() const;
   Status Truncate(uint64_t size);
-  Status Sync();
-
-  /// Process-unique id, the buffer pool's file coordinate (PageKey).
-  uint64_t id() const { return id_; }
-  const std::string& path() const { return path_; }
 
  private:
   PosixFile(int fd, std::string path);
 
   int fd_ = -1;
-  uint64_t id_ = 0;
   std::string path_;
 };
 

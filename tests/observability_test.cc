@@ -216,10 +216,9 @@ TEST_F(MiningObservabilityTest, PerPassCountersArePopulated) {
   SetUpRetail();
   mr::MiningRunStats stats = MustMine(&system_, kSimpleStatement);
   EXPECT_FALSE(stats.core.used_general);
-  // The default algorithm is adaptive: the stats always report the
-  // resolved pool member, never "auto".
-  EXPECT_NE(stats.core.algorithm, "auto");
-  EXPECT_FALSE(stats.core.algorithm.empty());
+  // The default algorithm is "auto", which resolves to the gid-list miner;
+  // the stats report the resolved pool member.
+  EXPECT_EQ(stats.core.algorithm, "gidlist");
   EXPECT_GE(stats.core.simple.passes, 1);
   ASSERT_FALSE(stats.core.simple.candidates_per_level.empty());
   ASSERT_FALSE(stats.core.simple.large_per_level.empty());

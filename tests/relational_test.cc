@@ -148,19 +148,16 @@ TEST(TableTest, AppendErrorMessages) {
   EXPECT_EQ(table.row(0)[0].AsInteger(), 4);
 }
 
-// Truncate (a failed INSERT's rollback) is a non-append mutation: both the
-// version and the shape version move, so incremental consumers rescan.
-TEST(TableTest, TruncateBumpsVersionAndShapeVersion) {
+// Truncate (a failed INSERT's rollback) is a mutation: the version moves,
+// so version-keyed consumers (the preprocess cache) see the change.
+TEST(TableTest, TruncateBumpsVersion) {
   Table table("t", Schema({{"a", DataType::kInteger}}));
   for (int64_t i = 0; i < 3; ++i) table.AppendUnchecked({Value::Integer(i)});
   const uint64_t version = table.version();
-  const uint64_t shape = table.shape_version();
   table.Truncate(1);
   ASSERT_EQ(table.num_rows(), 1u);
   EXPECT_EQ(table.row(0)[0].AsInteger(), 0);
   EXPECT_GT(table.version(), version);
-  EXPECT_GT(table.shape_version(), shape);
-  EXPECT_EQ(table.shape_version(), table.version());
 }
 
 TEST(TableTest, IntegerIntoDoubleColumnWidens) {

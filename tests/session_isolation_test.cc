@@ -93,11 +93,9 @@ TEST(SessionIsolationTest, OptionsDoNotLeakAcrossSessions) {
   auto vanilla = server.Connect("vanilla");
 
   const mr::MiningOptions before = *vanilla->options();
-  tuned->options()->cost_based_sql = true;
   tuned->options()->num_threads = 1;
   tuned->options()->memory_limit = 256 * 1024;
 
-  EXPECT_EQ(vanilla->options()->cost_based_sql, before.cost_based_sql);
   EXPECT_EQ(vanilla->options()->num_threads, before.num_threads);
   EXPECT_EQ(vanilla->options()->memory_limit, before.memory_limit);
 
@@ -174,7 +172,6 @@ TEST(SessionIsolationTest, StatementClassification) {
   using server::StatementClass;
   EXPECT_EQ(ClassifyStatement("SELECT * FROM t"), StatementClass::kRead);
   EXPECT_EQ(ClassifyStatement("  explain SELECT 1"), StatementClass::kRead);
-  EXPECT_EQ(ClassifyStatement("ANALYZE t"), StatementClass::kRead);
   EXPECT_EQ(ClassifyStatement("INSERT INTO t VALUES (1)"),
             StatementClass::kWrite);
   EXPECT_EQ(ClassifyStatement("CREATE TABLE t (x INTEGER)"),

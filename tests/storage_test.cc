@@ -1,36 +1,17 @@
-// Tests of the disk-backed storage layer (DESIGN.md §13): the exact row
-// codec, the POSIX page store, buffer-pool caching/eviction/write-back and
-// the all-pinned failure mode, the paged table heap (including reopen), the
-// spill-file run framing, and catalog checkpoint/restore through the
-// StorageManager.
+// Tests of the storage primitives the SQL engine's spill paths use
+// (DESIGN.md §13): the exact row codec, positional POSIX file I/O and the
+// spill-file run framing.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "relational/catalog.h"
-#include "storage/buffer_pool.h"
-#include "storage/page.h"
 #include "storage/posix_file.h"
 #include "storage/row_codec.h"
 #include "storage/spill.h"
-#include "storage/storage_manager.h"
-#include "storage/table_heap.h"
 
 namespace minerule::storage {
 namespace {
-
-std::string RenderRow(const Row& row) {
-  std::string out;
-  for (const Value& v : row) {
-    out += v.ToString();
-    out += '|';
-  }
-  return out;
-}
 
 TEST(RowCodecTest, RoundTripsEveryValueType) {
   Row row = {Value::Null(),
@@ -121,137 +102,6 @@ TEST(PosixFileTest, PositionalReadWriteAndTruncate) {
   EXPECT_EQ(shrunk.value(), 5u);
 }
 
-class BufferPoolTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    auto file = PosixFile::CreateTemp("");
-    ASSERT_TRUE(file.ok()) << file.status();
-    file_ = std::move(file.value());
-  }
-
-  std::unique_ptr<PosixFile> file_;
-};
-
-TEST_F(BufferPoolTest, HitsMissesAndWriteBackThroughEviction) {
-  BufferPool pool(4);
-  // Dirty more pages than the pool holds; every page must survive eviction.
-  const int kPages = 16;
-  for (int p = 0; p < kPages; ++p) {
-    auto guard = pool.Create(file_.get(), static_cast<uint64_t>(p));
-    ASSERT_TRUE(guard.ok()) << guard.status();
-    guard.value().data()[0] = static_cast<char>('a' + p);
-    guard.value().data()[kPageSize - 1] = static_cast<char>('A' + p);
-    guard.value().MarkDirty();
-  }
-  const int64_t misses_after_fill = pool.misses();
-  for (int p = 0; p < kPages; ++p) {
-    auto guard = pool.Fetch(file_.get(), static_cast<uint64_t>(p));
-    ASSERT_TRUE(guard.ok()) << guard.status();
-    EXPECT_EQ(guard.value().data()[0], static_cast<char>('a' + p));
-    EXPECT_EQ(guard.value().data()[kPageSize - 1],
-              static_cast<char>('A' + p));
-  }
-  // 4 frames over 16 pages: the re-scan misses on every page not resident.
-  EXPECT_GT(pool.misses(), misses_after_fill);
-
-  // A page fetched twice in a row is a hit the second time.
-  const int64_t hits_before = pool.hits();
-  { auto g = pool.Fetch(file_.get(), 3); ASSERT_TRUE(g.ok()); }
-  { auto g = pool.Fetch(file_.get(), 3); ASSERT_TRUE(g.ok()); }
-  EXPECT_GT(pool.hits(), hits_before);
-}
-
-TEST_F(BufferPoolTest, FetchPastEndOfFileYieldsZeroedPage) {
-  BufferPool pool(2);
-  auto guard = pool.Fetch(file_.get(), 7);
-  ASSERT_TRUE(guard.ok()) << guard.status();
-  for (size_t i = 0; i < kPageSize; i += 512) {
-    ASSERT_EQ(guard.value().data()[i], 0) << "byte " << i;
-  }
-}
-
-TEST_F(BufferPoolTest, AllFramesPinnedIsACleanError) {
-  BufferPool pool(3);
-  std::vector<PageGuard> pins;
-  for (uint64_t p = 0; p < 3; ++p) {
-    auto guard = pool.Fetch(file_.get(), p);
-    ASSERT_TRUE(guard.ok()) << guard.status();
-    pins.push_back(std::move(guard.value()));
-  }
-  auto overflow = pool.Fetch(file_.get(), 3);
-  ASSERT_FALSE(overflow.ok());
-  EXPECT_NE(overflow.status().message().find("buffer pool exhausted"),
-            std::string::npos)
-      << overflow.status();
-  // Releasing one pin makes the pool usable again.
-  pins.pop_back();
-  auto retry = pool.Fetch(file_.get(), 3);
-  EXPECT_TRUE(retry.ok()) << retry.status();
-}
-
-TEST_F(BufferPoolTest, FlushFileMakesDataDurableWhileCached) {
-  BufferPool pool(4);
-  {
-    auto guard = pool.Create(file_.get(), 0);
-    ASSERT_TRUE(guard.ok());
-    guard.value().data()[10] = 'x';
-    guard.value().MarkDirty();
-  }
-  ASSERT_TRUE(pool.FlushFile(file_.get()).ok());
-  char buf[1];
-  ASSERT_TRUE(file_->ReadAt(10, buf, 1).ok());
-  EXPECT_EQ(buf[0], 'x');
-}
-
-TEST(TableHeapTest, AppendScanAndReopen) {
-  auto file = PosixFile::CreateTemp("");
-  ASSERT_TRUE(file.ok());
-
-  std::vector<std::string> records;
-  records.push_back("");  // empty record
-  records.push_back("short");
-  records.push_back(std::string(3 * kPageSize + 17, 'z'));  // spans pages
-  for (int i = 0; i < 500; ++i) {
-    records.push_back("record-" + std::to_string(i));
-  }
-
-  BufferPool pool(8);
-  {
-    auto heap = TableHeap::Create(&pool, file.value().get());
-    ASSERT_TRUE(heap.ok()) << heap.status();
-    for (const std::string& r : records) {
-      ASSERT_TRUE(heap.value()->Append(r).ok());
-    }
-    ASSERT_TRUE(heap.value()->Finish().ok());
-    EXPECT_EQ(heap.value()->record_count(), records.size());
-  }
-
-  // Reopen through a *fresh* pool: everything must come off the disk.
-  BufferPool cold_pool(8);
-  auto reopened = TableHeap::Open(&cold_pool, file.value().get());
-  ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_EQ(reopened.value()->record_count(), records.size());
-  auto scanner = reopened.value()->Scan();
-  std::string record;
-  for (size_t i = 0; i < records.size(); ++i) {
-    auto more = scanner.Next(&record);
-    ASSERT_TRUE(more.ok()) << more.status();
-    ASSERT_TRUE(more.value()) << "heap ended early at record " << i;
-    EXPECT_EQ(record, records[i]) << "record " << i;
-  }
-  auto end = scanner.Next(&record);
-  ASSERT_TRUE(end.ok());
-  EXPECT_FALSE(end.value());
-}
-
-TEST(TableHeapTest, OpenRejectsGarbage) {
-  auto file = PosixFile::CreateTemp("");
-  ASSERT_TRUE(file.ok());
-  ASSERT_TRUE(file.value()->WriteAt(0, "not a heap", 10).ok());
-  BufferPool pool(4);
-  EXPECT_FALSE(TableHeap::Open(&pool, file.value().get()).ok());
-}
-
 TEST(SpillFileTest, RunsReadBackExactlyAndConcurrentlyWithAppends) {
   auto spill = SpillFile::Create("");
   ASSERT_TRUE(spill.ok()) << spill.status();
@@ -285,124 +135,6 @@ TEST(SpillFileTest, RunsReadBackExactlyAndConcurrentlyWithAppends) {
   EXPECT_EQ(run2.value().records, 50u);
   EXPECT_EQ(run2.value().offset, run1.value().offset + run1.value().bytes);
   EXPECT_EQ(file->bytes_written(), run2.value().offset + run2.value().bytes);
-}
-
-class StorageManagerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = ::testing::TempDir() + "/minerule_storage_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    // Start from a clean slate so reruns don't see stale checkpoints.
-    std::remove((dir_ + "/minerule.cat").c_str());
-  }
-
-  void FillCatalog(Catalog* catalog) {
-    auto table = catalog->CreateTable(
-        "Purchase", Schema({{"customer", DataType::kString},
-                            {"item", DataType::kString},
-                            {"price", DataType::kInteger},
-                            {"weight", DataType::kDouble}}));
-    ASSERT_TRUE(table.ok());
-    for (int i = 0; i < 1000; ++i) {
-      table.value()->AppendUnchecked(
-          {Value::String("cust" + std::to_string(i % 37)),
-           Value::String("item" + std::to_string(i % 11)),
-           i % 13 == 0 ? Value::Null() : Value::Integer(i),
-           Value::Double(i * 0.5)});
-    }
-    ASSERT_TRUE(
-        catalog->CreateView("V", "SELECT customer FROM Purchase").ok());
-    ASSERT_TRUE(catalog->CreateSequence("seq", 5).ok());
-    auto seq = catalog->GetSequence("seq");
-    ASSERT_TRUE(seq.ok());
-    seq.value()->NextVal();
-    seq.value()->NextVal();  // next value is now 7
-  }
-
-  std::string Dump(Catalog* catalog) {
-    std::string out;
-    for (const std::string& name : catalog->TableNames()) {
-      auto table = catalog->GetTable(name);
-      if (!table.ok()) continue;
-      out += "== " + name + "\n";
-      for (const Column& col : table.value()->schema().columns()) {
-        out += col.name + ":" + std::to_string(static_cast<int>(col.type)) +
-               ",";
-      }
-      out += "\n";
-      for (const Row& row : table.value()->rows()) {
-        out += RenderRow(row) + "\n";
-      }
-    }
-    return out;
-  }
-
-  std::string dir_;
-};
-
-TEST_F(StorageManagerTest, CheckpointThenRestoreIntoFreshCatalog) {
-  Catalog original;
-  FillCatalog(&original);
-  {
-    auto manager = StorageManager::Open(dir_);
-    ASSERT_TRUE(manager.ok()) << manager.status();
-    ASSERT_TRUE(manager.value()->Checkpoint(original).ok());
-  }
-
-  // A fresh manager on the same directory — the restart — must rebuild the
-  // catalog byte-identically, views and sequence positions included.
-  Catalog restored;
-  auto manager = StorageManager::Open(dir_);
-  ASSERT_TRUE(manager.ok()) << manager.status();
-  ASSERT_TRUE(manager.value()->Restore(&restored).ok());
-
-  EXPECT_EQ(Dump(&restored), Dump(&original));
-  auto view = restored.GetView("V");
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view.value().select_sql, "SELECT customer FROM Purchase");
-  auto seq = restored.GetSequence("seq");
-  ASSERT_TRUE(seq.ok());
-  EXPECT_EQ(seq.value()->PeekNext(), 7);
-}
-
-TEST_F(StorageManagerTest, IncrementalCheckpointPicksUpNewRowsAndDrops) {
-  Catalog catalog;
-  FillCatalog(&catalog);
-  auto manager = StorageManager::Open(dir_);
-  ASSERT_TRUE(manager.ok()) << manager.status();
-  ASSERT_TRUE(manager.value()->Checkpoint(catalog).ok());
-
-  // Mutate: append rows, add a table, drop the view.
-  auto table = catalog.GetTable("Purchase");
-  ASSERT_TRUE(table.ok());
-  table.value()->AppendUnchecked({Value::String("late"), Value::String("x"),
-                                  Value::Integer(-1), Value::Double(0.0)});
-  auto extra =
-      catalog.CreateTable("Extra", Schema({{"n", DataType::kInteger}}));
-  ASSERT_TRUE(extra.ok());
-  extra.value()->AppendUnchecked({Value::Integer(99)});
-  ASSERT_TRUE(catalog.DropView("V").ok());
-  ASSERT_TRUE(manager.value()->Checkpoint(catalog).ok());
-
-  Catalog restored;
-  auto fresh = StorageManager::Open(dir_);
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  ASSERT_TRUE(fresh.value()->Restore(&restored).ok());
-  EXPECT_EQ(Dump(&restored), Dump(&catalog));
-  EXPECT_FALSE(restored.HasView("V"));
-  auto roundtrip = restored.GetTable("Extra");
-  ASSERT_TRUE(roundtrip.ok());
-  ASSERT_EQ(roundtrip.value()->num_rows(), 1u);
-
-  // Dropping a table must remove it from the next checkpoint.
-  ASSERT_TRUE(catalog.DropTable("Extra").ok());
-  ASSERT_TRUE(manager.value()->Checkpoint(catalog).ok());
-  Catalog after_drop;
-  auto last = StorageManager::Open(dir_);
-  ASSERT_TRUE(last.ok()) << last.status();
-  ASSERT_TRUE(last.value()->Restore(&after_drop).ok());
-  EXPECT_FALSE(after_drop.HasTable("Extra"));
-  EXPECT_TRUE(after_drop.HasTable("Purchase"));
 }
 
 }  // namespace

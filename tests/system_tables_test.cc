@@ -65,12 +65,12 @@ std::string ColumnNames(const Schema& schema) {
   return names;
 }
 
-// The nine schemas are part of the public surface: pinned as goldens.
+// The eight schemas are part of the public surface: pinned as goldens.
 TEST_F(SystemTablesTest, SchemasGolden) {
   EXPECT_EQ(sql::SystemTableNames(),
             (std::vector<std::string>{
                 "mr_runs", "mr_query_profile", "mr_operator_stats",
-                "mr_metrics", "mr_trace_spans", "mr_table_stats", "mr_sessions",
+                "mr_metrics", "mr_trace_spans", "mr_sessions",
                 "mr_active_statements", "mr_slow_queries"}));
   auto names = [](const std::string& table) {
     auto schema = sql::SystemTableSchema(table);
@@ -87,9 +87,6 @@ TEST_F(SystemTablesTest, SchemasGolden) {
   EXPECT_EQ(names("mr_metrics"), "name,kind,value,count,sum,p50,p95,p99");
   EXPECT_EQ(names("mr_trace_spans"),
             "tid,thread,name,category,start_micros,duration_micros");
-  EXPECT_EQ(names("mr_table_stats"),
-            "table_name,column_name,row_count,ndv,min_value,max_value,"
-            "null_frac,stats_epoch");
   EXPECT_EQ(names("mr_sessions"),
             "session_id,name,uptime_micros,statements,errors,in_flight,"
             "last_error");
